@@ -38,4 +38,9 @@ class NonConvergenceError(ClutterStatsError, RuntimeError):
 
 
 class NumericOverflowError(ClutterStatsError, OverflowError):
-    """A computation overflowed double precision."""
+    """A computation overflowed double precision.
+
+    Also raised by sampling when a draw is not representable as a positive
+    finite double, as happens for gamma shapes of a few hundredths or less
+    (a draw underflows to 0).
+    """

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from . import mellin
 from .errors import (
@@ -431,25 +431,38 @@ def _fit_weibull_nakagami(k):
     residuals = [g(t) for t in grid]
     roots = []
     iterations = 0
+
+    def solve(lo: float, hi: float) -> None:
+        nonlocal iterations
+        t_star, info = brentq(
+            g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200, full_output=True
+        )
+        if not info.converged:
+            raise NonConvergenceError("shape solve did not converge")
+        roots.append(t_star)
+        iterations += info.iterations
+
     for i in range(len(grid) - 1):
         if residuals[i] == 0.0:
             roots.append(grid[i])
         elif residuals[i] * residuals[i + 1] < 0.0:
-            t_star, info = brentq(
-                g,
-                grid[i],
-                grid[i + 1],
-                xtol=1e-15,
-                rtol=8.9e-16,
-                maxiter=200,
-                full_output=True,
-            )
-            if not info.converged:
-                raise NonConvergenceError("shape solve did not converge")
-            roots.append(t_star)
-            iterations += info.iterations
+            solve(grid[i], grid[i + 1])
     if residuals[-1] == 0.0:
         roots.append(grid[-1])
+    if not roots:
+        # Two roots can share one scan cell, next to the grid point of least
+        # |g|: the residual keeps its sign on the grid and crosses zero only
+        # around its extremum there.  Find the extremum and bracket each side.
+        i = int(np.argmin(np.abs(residuals)))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        sign = math.copysign(1.0, residuals[i])
+        extremum = minimize_scalar(
+            lambda t: sign * g(t), bounds=(lo, hi), method="bounded"
+        )
+        iterations += extremum.nfev
+        if extremum.fun < 0.0:
+            solve(lo, extremum.x)
+            solve(extremum.x, hi)
     if not roots:
         raise InfeasibleCumulantsError(
             f"no positive shapes reproduce (k2, k3) = ({k2:g}, {k3:g})"

@@ -4,14 +4,21 @@ For a density f on (0, inf), the second-kind characteristic function is the
 Mellin transform Phi(s) = Int_0^inf x^(s-1) f(x) dx, with Psi(s) = ln Phi(s).
 Classical moments are Phi evaluated at integer points (m_n = Phi(n+1));
 log-moments are derivatives of Phi at s = 1 and log-cumulants are derivatives
-of Psi at s = 1.  Every family here has a closed-form Phi built from gamma
-functions, evaluated through log-gamma sums; transforms of compound families
-factor into the product of their component transforms, making log-cumulants
-additive across speckle and texture.
+of Psi at s = 1.
 
-Two numerical routes double-check the closed forms: direct quadrature of the
-transform integral (phi_numeric) and central-difference derivatives of Psi
-(log_cumulants_numeric).
+Every family's Phi has the same shape: a product of power terms base^(e*d)
+and gamma ratios Gamma(a + d/q) / Gamma(a), with d = s - 1.  Each family
+states that product once, as a factor table; the analyticity strip, psi and
+phi, classical moments and log-cumulants of every order are derived from it
+(k_n = sum of q^(-n) psi^(n-1)(a), Nicolas, Traitement du Signal 19(3),
+2002), and so is the sampler in simulate.  A compound family's table joins
+its speckle and texture factors, which is why compound transforms factor and
+log-cumulants add across speckle and texture.
+
+Two numerical routes double-check the closed forms: direct quadrature of
+the transform integral over the density (phi_numeric, which takes only the
+strip from the table) and central-difference derivatives of Psi
+(log_cumulants_numeric, which checks the cumulant sums against Psi itself).
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ __all__ = [
     "CONVENTION_STANDARD",
     "CONVENTION_PAPER_EQ6",
     "analyticity_strip",
+    "factor_table",
     "phi",
     "psi",
     "phi_numeric",
@@ -142,166 +150,113 @@ class LogStats:
 
 
 # ---------------------------------------------------------------------------
-# Analyticity strips (pole structure of the gamma factors in Phi)
+# The Mellin factor table of each family (see factor_table).  The divisor q
+# is stored rather than 1/q so that the strip endpoints 1 - a*q come out
+# exact.  Gamma factors are listed speckle first, the order in which the
+# sampler draws them.
 
 _INF = math.inf
 
 
 @singledispatch
-def _strip(model) -> AnalyticityStrip:
+def _factors(model):
     raise ParameterError(f"no transform for {type(model).__name__}")
 
 
-@_strip.register
-def _(model: Exponential) -> AnalyticityStrip:
-    return AnalyticityStrip(0.0, _INF)
+@_factors.register
+def _(model: Exponential):
+    return [(model.mu, 1.0)], [(1.0, 1.0)]
 
 
-@_strip.register
-def _(model: Gamma) -> AnalyticityStrip:
-    return AnalyticityStrip(1.0 - model.L, _INF)
+@_factors.register
+def _(model: Gamma):
+    return [(model.mu / model.L, 1.0)], [(model.L, 1.0)]
 
 
-@_strip.register
-def _(model: Nakagami) -> AnalyticityStrip:
-    return AnalyticityStrip(1.0 - 2.0 * model.L, _INF)
+@_factors.register
+def _(model: Nakagami):
+    return [(model.mu / math.sqrt(model.L), 1.0)], [(model.L, 2.0)]
 
 
-@_strip.register
-def _(model: Maxwell) -> AnalyticityStrip:
-    return AnalyticityStrip(-2.0, _INF)
+@_factors.register
+def _(model: Maxwell):
+    return [(2.0 * model.sigma**2, 0.5)], [(1.5, 2.0)]
 
 
-@_strip.register
-def _(model: Weibull) -> AnalyticityStrip:
-    return AnalyticityStrip(1.0 - model.b, _INF)
+@_factors.register
+def _(model: Weibull):
+    return [(model.z, 1.0)], [(1.0, model.b)]
 
 
-@_strip.register
-def _(model: Rayleigh) -> AnalyticityStrip:
-    return AnalyticityStrip(-1.0, _INF)
+@_factors.register
+def _(model: Rayleigh):
+    return [(model.z, 1.0)], [(1.0, 2.0)]
 
 
-@_strip.register
-def _(model: GammaGamma) -> AnalyticityStrip:
-    return AnalyticityStrip(1.0 - min(model.L, model.M), _INF)
+@_factors.register
+def _(model: GammaGamma):
+    L, M = model.L, model.M
+    return [(model.mu / (L * M), 1.0)], [(L, 1.0), (M, 1.0)]
 
 
-@_strip.register
-def _(model: KAmplitude) -> AnalyticityStrip:
-    return AnalyticityStrip(max(-1.0, 1.0 - 2.0 * model.alpha), _INF)
+@_factors.register
+def _(model: KAmplitude):
+    return [(model.b, -0.5), (model.mu, 1.0)], [(1.0, 2.0), (model.alpha, 2.0)]
 
 
-@_strip.register
-def _(model: WeibullNakagami) -> AnalyticityStrip:
-    return AnalyticityStrip(max(1.0 - model.c, 1.0 - 2.0 * model.alpha), _INF)
+@_factors.register
+def _(model: WeibullNakagami):
+    return [(model.sigma / model.b, 0.5)], [(1.0, model.c), (model.alpha, 2.0)]
 
 
-@_strip.register
-def _(model: Fisher) -> AnalyticityStrip:
-    return AnalyticityStrip(1.0 - model.L, model.M + 1.0)
+@_factors.register
+def _(model: Fisher):
+    L, M = model.L, model.M
+    return [(M * model.mu / L, 1.0)], [(L, 1.0), (M, -1.0)]
 
 
-@_strip.register
-def _(model: InverseGamma) -> AnalyticityStrip:
-    return AnalyticityStrip(-_INF, model.M + 1.0)
+@_factors.register
+def _(model: InverseGamma):
+    return [(model.mu, 1.0)], [(model.M, -1.0)]
+
+
+def factor_table(model: ClutterModel):
+    """Mellin factor table (powers, gammas) of a model.
+
+    powers = [(base, e)] and gammas = [(a, q)] give
+    Phi(s) = prod base^(e*(s-1)) * prod Gamma(a + (s-1)/q) / Gamma(a), and
+    X = prod base^e * prod G_a^(1/q) with independent unit-scale gamma
+    variates G_a.  Gamma factors are listed speckle first.
+    """
+    validate(model)
+    return _factors(model)
+
+
+# The closed forms below accumulate gamma factors in ascending (a, q) order,
+# so their values do not depend on the order a table lists the factors in:
+# gamma-gamma results are bit-identical under the (L, M) swap.
+
+
+def _strip_of(gammas) -> AnalyticityStrip:
+    # Gamma(a + d/q) has its first pole at s = 1 - a*q: below s = 1 for q > 0,
+    # above it for q < 0.
+    lower, upper = -_INF, _INF
+    for a, q in gammas:
+        if q > 0:
+            lower = max(lower, 1.0 - a * q)
+        else:
+            upper = min(upper, 1.0 - a * q)
+    return AnalyticityStrip(lower, upper)
 
 
 def analyticity_strip(model: ClutterModel) -> AnalyticityStrip:
     """Maximal open interval of real s on which the closed-form Phi is finite."""
-    validate(model)
-    return _strip(model)
+    return _strip_of(factor_table(model)[1])
 
 
-# ---------------------------------------------------------------------------
-# Closed-form transforms.  Every family's Phi is a product of power factors
-# base^exponent and a ratio of gamma functions; each family contributes its
-# pieces once and psi/phi assemble them.  Gamma arguments are written as
-# offsets from their s = 1 values (d = s - 1), and numerator arguments are
-# listed so the first len(den) of them equal the denominator arguments at
-# d = 0.  Both properties together make Phi(1) = 1 and Psi(1) = 0 exact in
-# floating point.
-
-
-@singledispatch
-def _transform_parts(model, d: float):
-    raise ParameterError(f"no transform for {type(model).__name__}")
-
-
-@_transform_parts.register
-def _(model: Exponential, d: float):
-    return [(model.mu, d)], [1.0 + d], []
-
-
-@_transform_parts.register
-def _(model: Gamma, d: float):
-    L = model.L
-    return [(model.mu / L, d)], [L + d], [L]
-
-
-@_transform_parts.register
-def _(model: Nakagami, d: float):
-    L = model.L
-    return [(model.mu / math.sqrt(L), d)], [L + d / 2.0], [L]
-
-
-@_transform_parts.register
-def _(model: Maxwell, d: float):
-    return [(2.0 * model.sigma**2, d / 2.0)], [1.5 + d / 2.0], [1.5]
-
-
-@_transform_parts.register
-def _(model: Weibull, d: float):
-    return [(model.z, d)], [1.0 + d / model.b], []
-
-
-@_transform_parts.register
-def _(model: Rayleigh, d: float):
-    return _transform_parts(Weibull(b=2.0, z=model.z), d)
-
-
-@_transform_parts.register
-def _(model: GammaGamma, d: float):
-    # sorted shapes keep the result bit-identical under (L, M) swap
-    lo, hi = sorted((model.L, model.M))
-    return [(model.mu / (lo * hi), d)], [lo + d, hi + d], [lo, hi]
-
-
-@_transform_parts.register
-def _(model: KAmplitude, d: float):
-    alpha = model.alpha
-    return (
-        [(model.b, -d / 2.0), (model.mu, d)],
-        [alpha + d / 2.0, 1.0 + d / 2.0],
-        [alpha],
-    )
-
-
-@_transform_parts.register
-def _(model: WeibullNakagami, d: float):
-    alpha = model.alpha
-    return (
-        [(model.sigma / model.b, d / 2.0)],
-        [alpha + d / 2.0, 1.0 + d / model.c],
-        [alpha],
-    )
-
-
-@_transform_parts.register
-def _(model: Fisher, d: float):
-    L, M = model.L, model.M
-    return [(M * model.mu / L, d)], [L + d, M - d], [L, M]
-
-
-@_transform_parts.register
-def _(model: InverseGamma, d: float):
-    M = model.M
-    return [(model.mu, d)], [M - d], [M]
-
-
-def _check_strip(model: ClutterModel, s: float) -> float:
+def _check_strip(model: ClutterModel, gammas, s: float) -> float:
     s = float(s)
-    strip = _strip(model)
+    strip = _strip_of(gammas)
     if math.isnan(s) or not strip.contains(s):
         raise StripError(
             f"s={s!r} outside analyticity strip ({strip.lower:g}, "
@@ -310,24 +265,21 @@ def _check_strip(model: ClutterModel, s: float) -> float:
     return s
 
 
-def _psi_closed(model: ClutterModel, s: float) -> float:
-    powers, num, den = _transform_parts(model, s - 1.0)
+def _psi_closed(powers, gammas, d: float) -> float:
+    # Each gamma term vanishes exactly at d = 0, so Psi(1) = 0 exactly.
     total = 0.0
-    for base, exponent in powers:
-        total += exponent * math.log(base)
-    for i, arg in enumerate(num):
-        term = log_gamma(arg)
-        if i < len(den):
-            term -= log_gamma(den[i])
-        total += term
+    for base, e in powers:
+        total += (e * d) * math.log(base)
+    for a, q in sorted(gammas):
+        total += log_gamma(a + d / q) - log_gamma(a)
     return total
 
 
 def psi(model: ClutterModel, s: float) -> float:
     """ln Phi(s), computed directly from log-gamma sums for stability."""
-    validate(model)
-    s = _check_strip(model, s)
-    return _psi_closed(model, s)
+    powers, gammas = factor_table(model)
+    s = _check_strip(model, gammas, s)
+    return _psi_closed(powers, gammas, s - 1.0)
 
 
 def phi(model: ClutterModel, s: float) -> float:
@@ -337,23 +289,20 @@ def phi(model: ClutterModel, s: float) -> float:
     small-argument results exactly rounded (moments of integer order come out
     exact); falls back to exp(psi) when a gamma factor overflows.
     """
-    validate(model)
-    s = _check_strip(model, s)
-    powers, num, den = _transform_parts(model, s - 1.0)
+    powers, gammas = factor_table(model)
+    s = _check_strip(model, gammas, s)
+    d = s - 1.0
     try:
         value = 1.0
-        for base, exponent in powers:
-            value *= math.pow(base, exponent)
-        for i, arg in enumerate(num):
-            factor = float(sc_gamma(arg))
-            if i < len(den):
-                factor /= float(sc_gamma(den[i]))
-            value *= factor
+        for base, e in powers:
+            value *= math.pow(base, e * d)
+        for a, q in sorted(gammas):
+            value *= float(sc_gamma(a + d / q)) / float(sc_gamma(a))
     except OverflowError:
         value = math.inf
     if math.isfinite(value) and value > 0.0:
         return value
-    log_value = _psi_closed(model, s)
+    log_value = _psi_closed(powers, gammas, d)
     if log_value > 709.0:
         raise NumericOverflowError(
             f"Phi overflow for {type(model).__name__} at s={s:g}"
@@ -369,8 +318,7 @@ def phi_numeric(
     Independent of the closed forms: goes through the density and the
     semi-infinite quadrature oracle only.
     """
-    validate(model)
-    s = _check_strip(model, s)
+    s = _check_strip(model, factor_table(model)[1], s)
 
     def integrand(x: float) -> float:
         density = pdf(model, x)
@@ -388,7 +336,7 @@ def classical_moment(model: ClutterModel, n: int) -> float:
         raise ParameterError(f"moment order must be an integer, got {n!r}")
     if n < 1:
         raise ParameterError(f"moment order must be >= 1, got {n}")
-    strip = _strip(model)
+    strip = _strip_of(_factors(model)[1])
     s = float(n + 1)
     if s >= strip.upper:
         raise MomentDivergesError(
@@ -399,101 +347,8 @@ def classical_moment(model: ClutterModel, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Log-cumulants: exact derivatives of the closed-form Psi at s = 1.
-#
-# Each entry below is the analytic derivative of the corresponding Psi above,
-# machine-checked against log_cumulants_numeric.  First-order terms carry the
-# scale; orders n >= 2 involve polygamma values of the shape parameters only.
-
-
-@singledispatch
-def _cumulant_parts(model):
-    raise ParameterError(f"no log-cumulants for {type(model).__name__}")
-
-
-@_cumulant_parts.register
-def _(model: Exponential):
-    k1 = math.log(model.mu) + polygamma(0, 1.0)
-    return k1, lambda n: polygamma(n - 1, 1.0)
-
-
-@_cumulant_parts.register
-def _(model: Gamma):
-    L = model.L
-    k1 = math.log(model.mu / L) + polygamma(0, L)
-    return k1, lambda n: polygamma(n - 1, L)
-
-
-@_cumulant_parts.register
-def _(model: Nakagami):
-    L = model.L
-    k1 = math.log(model.mu / math.sqrt(L)) + 0.5 * polygamma(0, L)
-    return k1, lambda n: 0.5**n * polygamma(n - 1, L)
-
-
-@_cumulant_parts.register
-def _(model: Maxwell):
-    k1 = 0.5 * math.log(2.0 * model.sigma**2) + 0.5 * polygamma(0, 1.5)
-    return k1, lambda n: 0.5**n * polygamma(n - 1, 1.5)
-
-
-@_cumulant_parts.register
-def _(model: Weibull):
-    b = model.b
-    k1 = math.log(model.z) + polygamma(0, 1.0) / b
-    return k1, lambda n: b ** (-n) * polygamma(n - 1, 1.0)
-
-
-@_cumulant_parts.register
-def _(model: Rayleigh):
-    return _cumulant_parts(Weibull(b=2.0, z=model.z))
-
-
-@_cumulant_parts.register
-def _(model: GammaGamma):
-    # sorted shapes keep the values bit-identical under (L, M) swap
-    lo, hi = sorted((model.L, model.M))
-    k1 = math.log(model.mu / (lo * hi)) + (polygamma(0, lo) + polygamma(0, hi))
-    return k1, lambda n: polygamma(n - 1, lo) + polygamma(n - 1, hi)
-
-
-@_cumulant_parts.register
-def _(model: KAmplitude):
-    alpha = model.alpha
-    k1 = (
-        -0.5 * math.log(model.b)
-        + math.log(model.mu)
-        + 0.5 * polygamma(0, 1.0)
-        + 0.5 * polygamma(0, alpha)
-    )
-    return k1, lambda n: 0.5**n * (polygamma(n - 1, 1.0) + polygamma(n - 1, alpha))
-
-
-@_cumulant_parts.register
-def _(model: WeibullNakagami):
-    c, alpha = model.c, model.alpha
-    k1 = (
-        0.5 * math.log(model.sigma / model.b)
-        + polygamma(0, 1.0) / c
-        + 0.5 * polygamma(0, alpha)
-    )
-    return k1, lambda n: c ** (-n) * polygamma(n - 1, 1.0) + 0.5**n * polygamma(
-        n - 1, alpha
-    )
-
-
-@_cumulant_parts.register
-def _(model: Fisher):
-    L, M = model.L, model.M
-    k1 = math.log(M * model.mu / L) + polygamma(0, L) - polygamma(0, M)
-    return k1, lambda n: polygamma(n - 1, L) + (-1.0) ** n * polygamma(n - 1, M)
-
-
-@_cumulant_parts.register
-def _(model: InverseGamma):
-    M = model.M
-    k1 = math.log(model.mu) - polygamma(0, M)
-    return k1, lambda n: (-1.0) ** n * polygamma(n - 1, M)
+# Log-cumulants: exact derivatives of the factor-table Psi at s = 1,
+# machine-checked against log_cumulants_numeric.
 
 
 def _check_max_n(max_n: int, limit: int) -> int:
@@ -505,11 +360,24 @@ def _check_max_n(max_n: int, limit: int) -> int:
 
 
 def log_cumulants(model: ClutterModel, max_n: int) -> LogStats:
-    """Log-cumulants of orders 1..max_n (max_n up to 6), in closed form."""
-    validate(model)
+    """Log-cumulants of orders 1..max_n (max_n up to 6), in closed form.
+
+    k_n = sum over gamma factors of q^(-n) psi^(n-1)(a); k_1 also carries the
+    scale, sum over power terms of e ln(base).
+    """
+    powers, gammas = factor_table(model)
     _check_max_n(max_n, 6)
-    k1, tail = _cumulant_parts(model)
-    values = [float(k1)] + [float(tail(n)) for n in range(2, max_n + 1)]
+    gammas = sorted(gammas)
+    values = []
+    for n in range(1, max_n + 1):
+        total = 0.0
+        if n == 1:
+            for base, e in powers:
+                total += e * math.log(base)
+        for a, q in gammas:
+            value = polygamma(n - 1, a)
+            total += value / q if n == 1 else q ** (-n) * value
+        values.append(total)
     return LogStats(KIND_LOG_CUMULANTS, CONVENTION_STANDARD, tuple(values))
 
 
@@ -528,7 +396,7 @@ def log_cumulants_numeric(model: ClutterModel, max_n: int) -> LogStats:
     """
     validate(model)
     _check_max_n(max_n, 4)
-    strip = _strip(model)
+    strip = _strip_of(_factors(model)[1])
     margin = min(1.0 - strip.lower, strip.upper - 1.0)
 
     def psi_at(s: float) -> float:

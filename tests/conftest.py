@@ -1,6 +1,15 @@
-"""Shared parameter grids for the test suite."""
+"""Shared parameter grids and the hypothesis profile for the test suite."""
+
+from hypothesis import settings
 
 import clutterstats as cs
+
+# Property tests draw the same examples on every run, so the suite cannot
+# flake; each test bounds its own max_examples.
+settings.register_profile(
+    "clutterstats", derandomize=True, deadline=None, database=None
+)
+settings.load_profile("clutterstats")
 
 # Shapes cover the spiky sub-unity regime through many-look smoothness;
 # scales cover sub-unit through few-times-unit.

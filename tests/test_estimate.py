@@ -223,6 +223,16 @@ class TestFitMolc:
         assert a == b
         assert a.model.L <= a.model.M
 
+    def test_weibull_nakagami_roots_in_one_scan_cell(self):
+        # both roots of the (k2, k3) residual fall inside one cell of the
+        # scan grid, so the grid alone sees no sign change
+        model = cs.WeibullNakagami(c=1.8846, alpha=1.1450, b=1.0, sigma=2.1037)
+        report = cs.fit_molc("weibull_nakagami", cs.log_cumulants(model, 4))
+        assert report.converged
+        fitted = dataclasses.asdict(report.model)
+        for name, value in dataclasses.asdict(model).items():
+            assert fitted[name] == pytest.approx(value, rel=1e-6), name
+
     def test_infeasible_weibull(self):
         stats = cs.LogStats("log_cumulants", "standard", (0.0, -0.5))
         with pytest.raises(cs.InfeasibleCumulantsError):

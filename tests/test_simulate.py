@@ -63,6 +63,27 @@ class TestDeterminism:
         assert one.values[0] == two.values[0]
 
 
+class TestOneFactorDraws:
+    # one-factor families draw on the given state itself
+    def test_exponential_inverse_cdf(self):
+        gen = cs.RngState(7, 3).generator()
+        expected = -2.0 * np.log(gen.random(1000) + 2.0**-54)
+        drawn = cs.sample(cs.Exponential(mu=2.0), 1000, cs.RngState(7, 3))
+        assert np.array_equal(drawn.values, expected)
+
+    def test_gamma_standard_gamma(self):
+        gen = cs.RngState(7, 3).generator()
+        expected = (1.3 / 2.5) * gen.standard_gamma(2.5, 1000)
+        drawn = cs.sample(cs.Gamma(L=2.5, mu=1.3), 1000, cs.RngState(7, 3))
+        assert np.array_equal(drawn.values, expected)
+
+    def test_weibull_inverse_cdf(self):
+        gen = cs.RngState(7, 3).generator()
+        expected = 1.5 * (-np.log(gen.random(1000) + 2.0**-54)) ** (1.0 / 0.7)
+        drawn = cs.sample(cs.Weibull(b=0.7, z=1.5), 1000, cs.RngState(7, 3))
+        assert np.array_equal(drawn.values, expected)
+
+
 class TestSamplerMarginals:
     @pytest.mark.parametrize("model", SIMPLE_MODELS, ids=lambda m: repr(m))
     def test_log_cumulants_match_closed_form(self, model):
@@ -95,6 +116,21 @@ class TestSamplerMarginals:
         assert abs(samples.values.mean() - 1.5) <= 4.0 * se
 
 
+class TestUnrepresentableDraws:
+    def test_tiny_gamma_shape_overflows(self):
+        # about 2% of shape-0.005 gamma variates underflow to 0
+        with pytest.raises(cs.NumericOverflowError, match="0.005"):
+            cs.sample(cs.Gamma(L=0.005, mu=1.0), 200_000, cs.RngState(1))
+
+    def test_tiny_fisher_texture_overflows(self):
+        with pytest.raises(cs.NumericOverflowError):
+            cs.sample(cs.Fisher(L=0.01, M=0.01, mu=1.0), 200_000, cs.RngState(1))
+
+    def test_small_gamma_shape_succeeds(self):
+        samples = cs.sample(cs.Gamma(L=0.05, mu=1.0), 200_000, cs.RngState(1))
+        assert samples.count == 200_000
+
+
 class TestSampleProduct:
     def test_degenerate_texture(self):
         speckle = cs.Gamma(L=1.0, mu=1.0)
@@ -124,6 +160,21 @@ class TestSampleProduct:
         composed = cs.sample_product(parts.speckle, parts.texture, 100, cs.RngState(11))
         assert np.array_equal(direct.values, composed.values)
 
+
+    def test_compound_streams_match_component_product(self):
+        # non-dyadic scales: same streams, values equal to rounding
+        for model in (
+            cs.GammaGamma(3.0, 2.0, 1.7),
+            cs.KAmplitude(2.0, 1.3, 1.1),
+            cs.WeibullNakagami(1.7, 1.5, 1.2, 2.0),
+            cs.Fisher(2.0, 3.0, 1.3),
+        ):
+            parts = cs.decompose(model)
+            direct = cs.sample(model, 1000, cs.RngState(11))
+            composed = cs.sample_product(
+                parts.speckle, parts.texture, 1000, cs.RngState(11)
+            )
+            assert np.allclose(direct.values, composed.values, rtol=1e-15, atol=0)
 
 class TestFig1Config:
     def test_default_grid(self):
@@ -212,6 +263,26 @@ class TestFigure1:
         records = json.loads(table.to_json())
         assert len(records) == 5
         assert set(records[0]) == set(cs.FIG1_COLUMNS)
+
+    def test_seeds_do_not_share_point_streams(self):
+        a = cs.Fig1Config(M_grid=(1.0, 2.0), samples_per_point=1000, seed=42)
+        b = cs.Fig1Config(M_grid=(2.0, 4.0), samples_per_point=1000, seed=43)
+        assert not np.array_equal(
+            cs.figure1_point_samples(a, 1).values,
+            cs.figure1_point_samples(b, 0).values,
+        )
+
+    def test_point_zero_draws_on_seed_stream(self):
+        config = cs.Fig1Config(M_grid=(0.5, 2.0), samples_per_point=1000, seed=42)
+        direct = cs.sample_product(
+            cs.Gamma(L=config.L, mu=1.0),
+            cs.Gamma(L=0.5, mu=config.mu),
+            1000,
+            cs.RngState(42),
+        )
+        assert np.array_equal(
+            cs.figure1_point_samples(config, 0).values, direct.values
+        )
 
     def test_point_errors_annotated_with_m(self):
         # one draw per point: cumulant estimation needs two, and the error
