@@ -6,9 +6,16 @@ and texture log-cumulants of a compound model add order by order, subtracting
 a known speckle's closed-form cumulants from the data cumulants estimates the
 texture cumulants directly.
 
-MoLC fitting equates the lowest-order empirical log-cumulants with their
-closed-form expressions and solves for the parameters: trigamma inversion for
-one shape, or elimination to a bracketed scalar root for two shapes.
+MoLC fitting equates the lowest-order log-cumulants with their closed forms
+and solves for the parameters.  Every family's closed forms are sums over its
+Mellin factor table (mellin.factor_table): k_n = sum q^(-n) psi^(n-1)(a) over
+the gamma factors (a, q), with k1 adding sum e ln(base).  One solver inverts
+these sums for every family; a family only names which factor slot each of
+its shapes sets (a or q), which fields the fit pins, and its scale field.
+k2, less what the fixed factors give, is split between the free shapes and
+each share inverted (psi'^(-1) for an a, a square root for a q); with two
+shapes, k3 picks the split by an array scan and brentq, and k4, when given,
+picks between two solutions.  The scale then follows from k1.
 """
 
 from __future__ import annotations
@@ -16,9 +23,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy import special
 from scipy.optimize import brentq, minimize_scalar
 
 from . import mellin
@@ -71,6 +79,9 @@ DEFAULT_FIT_TOL = 1e-8
 _TRIGAMMA_LO = 1e-8
 _TRIGAMMA_HI = 1e8
 _TRIGAMMA_MAX_ITER = 200
+# psi' at the ends of the box, the range of values the inversion accepts
+_TRIGAMMA_TOP = polygamma(1, _TRIGAMMA_LO)
+_TRIGAMMA_FLOOR = polygamma(1, _TRIGAMMA_HI)
 
 
 @dataclass
@@ -107,7 +118,10 @@ class FitReport:
 
     residual is the largest absolute mismatch between the input log-cumulants
     and the fitted model's closed-form log-cumulants over the orders the fit
-    used; converged means residual <= the configured tolerance.
+    used; converged means residual <= the configured tolerance.  iterations
+    counts solver steps: brentq iterations over every bracket solved, the
+    extremum search's evaluations when it runs, and the Newton steps of the
+    final trigamma inversions (0 for closed-form fits).
     """
 
     model: ClutterModel
@@ -125,14 +139,6 @@ class FitReport:
         return record
 
 
-def _check_max_n(max_n: int) -> int:
-    if isinstance(max_n, bool) or not isinstance(max_n, int):
-        raise ParameterError(f"max_n must be an integer, got {max_n!r}")
-    if not 1 <= max_n <= 4:
-        raise ParameterError(f"max_n must be in 1..4, got {max_n}")
-    return max_n
-
-
 def empirical_log_moments(samples: SampleSet, max_n: int) -> LogStats:
     """Sample log-moments: values[n-1] = mean of (ln x_i)^n for n = 1..max_n.
 
@@ -140,7 +146,7 @@ def empirical_log_moments(samples: SampleSet, max_n: int) -> LogStats:
     cannot change the result; fourth powers of logs over 1e6 samples would
     otherwise lose digits under naive summation.
     """
-    _check_max_n(max_n)
+    mellin._check_max_n(max_n, 4)
     if not isinstance(samples, SampleSet):
         samples = SampleSet(samples)
     logs = np.log(samples.values)
@@ -154,7 +160,7 @@ def empirical_log_moments(samples: SampleSet, max_n: int) -> LogStats:
 
 def empirical_log_cumulants(samples: SampleSet, max_n: int) -> LogStats:
     """Sample log-cumulants via the standard moment-cumulant relations."""
-    _check_max_n(max_n)
+    mellin._check_max_n(max_n, 4)
     if not isinstance(samples, SampleSet):
         samples = SampleSet(samples)
     if samples.count < 2:
@@ -183,7 +189,7 @@ def log_moment_standard_errors(
 ) -> Tuple[float, ...]:
     """Monte-Carlo standard errors of the empirical log-moments, estimated by
     splitting the sample into contiguous batches."""
-    _check_max_n(max_n)
+    mellin._check_max_n(max_n, 4)
     return _batch_standard_errors(samples, max_n, batches, empirical_log_moments)
 
 
@@ -191,7 +197,7 @@ def log_cumulant_standard_errors(
     samples: SampleSet, max_n: int, batches: int = 10
 ) -> Tuple[float, ...]:
     """Batch-split standard errors of the empirical log-cumulants."""
-    _check_max_n(max_n)
+    mellin._check_max_n(max_n, 4)
     return _batch_standard_errors(samples, max_n, batches, empirical_log_cumulants)
 
 
@@ -199,7 +205,7 @@ def texture_log_cumulants(
     data_cumulants: LogStats, speckle: ClutterModel, max_n: int
 ) -> LogStats:
     """Texture log-cumulants by additivity: data minus closed-form speckle."""
-    _check_max_n(max_n)
+    mellin._check_max_n(max_n, 4)
     if data_cumulants.kind != KIND_LOG_CUMULANTS:
         raise ParameterError("data statistics must be log-cumulants")
     if data_cumulants.convention != CONVENTION_STANDARD:
@@ -217,247 +223,215 @@ def texture_log_cumulants(
     return LogStats(KIND_LOG_CUMULANTS, CONVENTION_STANDARD, values)
 
 
-def _invert_trigamma(y: float) -> Tuple[float, int]:
-    """Newton iteration for psi'(x) = y, safeguarded by bisection."""
-    y = float(y)
-    if not y > 0:
-        raise ParameterError(f"trigamma value must be > 0, got {y!r}")
-    lo, hi = _TRIGAMMA_LO, _TRIGAMMA_HI
-    if y > polygamma(1, lo) or y < polygamma(1, hi):
-        raise NonConvergenceError(
-            f"trigamma inverse of {y:g} outside [{lo:g}, {hi:g}]"
+def _polygamma(n: int, x):
+    """psi^(n)(x) for n >= 1, elementwise.  Equal bit for bit to
+    scipy.special.polygamma, without its per-call order-0 branch, which
+    costs more than the function itself on small arrays."""
+    return (-1.0) ** (n + 1) * math.factorial(n) * special.zeta(n + 1, x)
+
+
+def _invert_trigamma(y) -> Tuple[np.ndarray, int]:
+    """x with psi'(x) = y elementwise, and the number of Newton steps taken.
+
+    Every element runs its own Newton iteration, safeguarded by bisection,
+    until its residual is at most 1e-10 * y; the step count is that of the
+    slowest element.
+    """
+    y = np.asarray(y, dtype=float)
+    if not np.all(y > 0.0):
+        raise ParameterError(
+            f"trigamma value must be > 0, got {float(np.min(y))!r}"
         )
+    outside = (y > _TRIGAMMA_TOP) | (y < _TRIGAMMA_FLOOR)
+    if outside.any():
+        raise NonConvergenceError(
+            f"trigamma inverse of {float(y[outside].flat[0]):g} outside "
+            f"[{_TRIGAMMA_LO:g}, {_TRIGAMMA_HI:g}]"
+        )
+    lo = np.full(y.shape, _TRIGAMMA_LO)
+    hi = np.full(y.shape, _TRIGAMMA_HI)
     # asymptotic inverse psi'(x) ~ 1/x + 1/(2x^2) seeds Newton
-    x = min(max(1.0 / y + 0.5, lo), hi)
+    x = np.minimum(np.maximum(1.0 / y + 0.5, lo), hi)
+    active = np.ones(y.shape, dtype=bool)
     for iteration in range(1, _TRIGAMMA_MAX_ITER + 1):
-        fx = polygamma(1, x) - y
-        if abs(fx) <= 1e-10 * y:
+        fx = _polygamma(1, x) - y
+        active &= ~(np.abs(fx) <= 1e-10 * y)
+        if not active.any():
             return x, iteration
-        if fx > 0.0:  # psi' decreasing: value too large means x too small
-            lo = x
-        else:
-            hi = x
-        step = fx / polygamma(2, x)
-        candidate = x - step
-        if not lo < candidate < hi:
-            candidate = 0.5 * (lo + hi)
-        x = candidate
+        # psi' decreasing: a value too large means x too small
+        lo = np.where(fx > 0.0, x, lo)
+        hi = np.where(fx > 0.0, hi, x)
+        candidate = x - fx / _polygamma(2, x)
+        inside = (lo < candidate) & (candidate < hi)
+        candidate = np.where(inside, candidate, 0.5 * (lo + hi))
+        x = np.where(active, candidate, x)
     raise NonConvergenceError(
-        f"trigamma inversion did not converge for y={y:g}"
+        f"trigamma inversion did not converge for y={float(y[active].flat[0]):g}"
     )
 
 
 def invert_trigamma(y: float) -> float:
     """x with psi'(x) = y, to relative residual 1e-10."""
-    return _invert_trigamma(y)[0]
+    return float(_invert_trigamma(float(y))[0])
 
 
 # ---------------------------------------------------------------------------
-# MoLC equation systems.  Each solver returns (model, iterations).
+# MoLC: one solver inverts the factor-table sums for every family.
 
 
-def _require_orders(values: Sequence[float], needed: int, family: str):
-    if len(values) < needed:
-        raise ParameterError(
-            f"family {family!r} needs log-cumulants up to order {needed}, "
-            f"got {len(values)}"
-        )
+class _FitSpec(NamedTuple):
+    """How a family's fields sit in its factor table.
+
+    free lists (field, gamma slot, "a" or "q") for each shape the fit solves
+    for; pinned holds the fields the fit fixes; X is proportional to
+    scale ** power.
+    """
+
+    model: type
+    free: Tuple[Tuple[str, int, str], ...]
+    scale: str
+    power: float = 1.0
+    pinned: Tuple[Tuple[str, float], ...] = ()
 
 
-def _require_positive_k2(k2: float):
-    if not k2 > 0.0:
-        raise InfeasibleCumulantsError(f"k2 must be > 0, got {k2:g}")
+_FIT_SPECS = {
+    "exponential": _FitSpec(Exponential, (), "mu"),
+    "gamma": _FitSpec(Gamma, (("L", 0, "a"),), "mu"),
+    "nakagami": _FitSpec(Nakagami, (("L", 0, "a"),), "mu"),
+    "maxwell": _FitSpec(Maxwell, (), "sigma"),
+    "weibull": _FitSpec(Weibull, (("b", 0, "q"),), "z"),
+    "rayleigh": _FitSpec(Rayleigh, (), "z"),
+    "gamma_gamma": _FitSpec(GammaGamma, (("L", 0, "a"), ("M", 1, "a")), "mu"),
+    # mu and b enter k1 only through ln(mu / sqrt(b)): fix mu = 1, report b
+    "k_amplitude": _FitSpec(
+        KAmplitude, (("alpha", 1, "a"),), "b", -0.5, (("mu", 1.0),)
+    ),
+    # sigma and b enter k1 only through ln(sigma / b): fix b = 1, report sigma
+    "weibull_nakagami": _FitSpec(
+        WeibullNakagami,
+        (("c", 0, "q"), ("alpha", 1, "a")),
+        "sigma",
+        0.5,
+        (("b", 1.0),),
+    ),
+    "fisher": _FitSpec(Fisher, (("L", 0, "a"), ("M", 1, "a")), "mu"),
+}
+
+_SCAN_POINTS = 257
+_BRENTQ = {"xtol": 1e-15, "rtol": 8.9e-16, "maxiter": 200, "full_output": True}
 
 
-def _fit_exponential(k):
-    mu = math.exp(k[0] - polygamma(0, 1.0))
-    return Exponential(mu=mu), 0
-
-
-def _fit_gamma(k):
-    _require_positive_k2(k[1])
-    L, iters = _invert_trigamma(k[1])
-    mu = L * math.exp(k[0] - polygamma(0, L))
-    return Gamma(L=L, mu=mu), iters
-
-
-def _fit_nakagami(k):
-    _require_positive_k2(k[1])
-    L, iters = _invert_trigamma(4.0 * k[1])
-    mu = math.sqrt(L) * math.exp(k[0] - 0.5 * polygamma(0, L))
-    return Nakagami(L=L, mu=mu), iters
-
-
-def _fit_maxwell(k):
-    sigma_sq = 0.5 * math.exp(2.0 * (k[0] - 0.5 * polygamma(0, 1.5)))
-    return Maxwell(sigma=math.sqrt(sigma_sq)), 0
-
-
-def _fit_weibull(k):
-    _require_positive_k2(k[1])
-    b = math.sqrt(polygamma(1, 1.0) / k[1])
-    z = math.exp(k[0] - polygamma(0, 1.0) / b)
-    return Weibull(b=b, z=z), 0
-
-
-def _fit_rayleigh(k):
-    z = math.exp(k[0] - 0.5 * polygamma(0, 1.0))
-    return Rayleigh(z=z), 0
-
-
-def _fit_k_amplitude(k):
-    # mu and b enter k1 only through ln(mu / sqrt(b)): fix mu = 1, report b.
-    _require_positive_k2(k[1])
-    y = 4.0 * k[1] - polygamma(1, 1.0)
-    if not y > 0.0:
-        raise InfeasibleCumulantsError(
-            f"k2={k[1]:g} is below the Rayleigh speckle floor psi'(1)/4"
-        )
-    alpha, iters = _invert_trigamma(y)
-    b = math.exp(2.0 * (0.5 * polygamma(0, 1.0) + 0.5 * polygamma(0, alpha) - k[0]))
-    return KAmplitude(alpha=alpha, b=b, mu=1.0), iters
-
-
-def _trigamma_floor() -> float:
-    return polygamma(1, _TRIGAMMA_HI)
-
-
-def _fit_gamma_gamma(k):
-    # Shapes solve psi'(L) + psi'(M) = k2, psi''(L) + psi''(M) = k3.  The
-    # system is symmetric under swap; parameterize the trigamma split
-    # psi'(L) = t*k2 with t in [1/2, 1) (canonical L <= M) and solve the
-    # scalar k3 equation, which is strictly monotone in t.
-    k2, k3 = k[1], k[2]
-    _require_positive_k2(k2)
+def _molc_solve(spec: _FitSpec, k: Sequence[float]):
+    """(model, iterations) whose k1 .. k_(1 + number of free shapes) equal k."""
+    fields = dict(spec.pinned)
+    shapes = {name: 1.0 for name, _, _ in spec.free}
+    unit = spec.model(**shapes, **fields, **{spec.scale: 1.0})
+    gammas = mellin.factor_table(unit)[1]
+    free_slots = [slot for _, slot, _ in spec.free]
+    fixed = [g for i, g in enumerate(gammas) if i not in free_slots]
     iterations = 0
+    if spec.free:
+        floor = sum(polygamma(1, a) / q**2 for a, q in fixed)
+        rest = k[1] - floor
+        if not rest > 0.0:
+            raise InfeasibleCumulantsError(
+                f"k2={k[1]:g} must exceed {floor:g}, the part of k2 that the "
+                f"fixed factors of {spec.model.family!r} give"
+            )
 
-    def shapes(t: float):
-        L, i1 = _invert_trigamma(t * k2)
-        M, i2 = _invert_trigamma((1.0 - t) * k2)
-        return L, M, i1 + i2
+        def slots(t):
+            """(a, q) of each free slot when the first takes share t of the
+            k2 left over, and the Newton steps this took."""
+            values, steps = [], 0
+            shares = (t * rest, (1.0 - t) * rest)
+            for (_, slot, kind), y in zip(spec.free, shares):
+                a, q = gammas[slot]
+                if kind == "a":
+                    a, n = _invert_trigamma(q * q * y)
+                    steps += n
+                else:
+                    q = np.sqrt(polygamma(1, a) / y)
+                values.append((a, q))
+            return values, steps
 
-    def g(t: float) -> float:
-        L, M, _ = shapes(t)
-        return polygamma(2, L) + polygamma(2, M) - k3
+        def residual(t, n):
+            """k_n of the split t minus the given k_n."""
+            terms = fixed + slots(t)[0]
+            return sum(_polygamma(n - 1, a) / q**n for a, q in terms) - k[n - 1]
 
-    g_half = g(0.5)
-    scale = max(1.0, abs(k3))
-    if abs(g_half) <= 1e-9 * scale:
-        L, M, extra = shapes(0.5)
-        return GammaGamma(L=L, M=M, mu=1.0), extra, 0.5  # mu fixed below
-    if g_half < 0.0:
-        raise InfeasibleCumulantsError(
-            f"k3={k3:g} exceeds the symmetric maximum for k2={k2:g}"
-        )
-    t_hi = 1.0 - max(1e-12, 1.01 * _trigamma_floor() / k2)
-    if t_hi <= 0.5 or g(t_hi) > 0.0:
-        raise InfeasibleCumulantsError(
-            f"no positive shapes reproduce (k2, k3) = ({k2:g}, {k3:g})"
-        )
-    t_star, info = brentq(
-        g, 0.5, t_hi, xtol=1e-15, rtol=8.9e-16, maxiter=200, full_output=True
-    )
-    if not info.converged:
-        raise NonConvergenceError("shape solve did not converge")
-    L, M, extra = shapes(t_star)
-    return GammaGamma(L=L, M=M, mu=1.0), info.iterations + extra, t_star
-
-
-def _fit_gamma_gamma_full(k):
-    model, iters, _ = _fit_gamma_gamma(k)
-    L, M = model.L, model.M
-    mu = L * M * math.exp(k[0] - polygamma(0, L) - polygamma(0, M))
-    return GammaGamma(L=L, M=M, mu=mu), iters
+        t = 1.0
+        if len(spec.free) == 2:
+            t, iterations = _shape_split(spec, gammas, k, rest, residual)
+        values, steps = slots(t)
+        iterations += steps
+        for (name, _, kind), (a, q) in zip(spec.free, values):
+            fields[name] = float(a if kind == "a" else q)
+    unit = spec.model(**fields, **{spec.scale: 1.0})
+    k1_unit = mellin.log_cumulants(unit, 1).values[0]
+    fields[spec.scale] = math.exp((k[0] - k1_unit) / spec.power)
+    return spec.model(**fields), iterations
 
 
-def _fit_fisher(k):
-    # psi'(L) + psi'(M) = k2, psi''(L) - psi''(M) = k3; same trigamma-split
-    # parameterization, t in (0, 1), strictly decreasing in t.
+def _shape_split(spec: _FitSpec, gammas, k, rest: float, residual):
+    """The share t of the leftover k2 taken by the first of two free shapes
+    that reproduces k3, and the solver iterations spent.
+
+    Every sign change of the k3 residual over one array scan of t is solved
+    by brentq.  Roots are kept in ascending t; when there are several and k4
+    is given, the one whose k4 matches best comes first.
+    """
     k2, k3 = k[1], k[2]
-    _require_positive_k2(k2)
 
-    def shapes(t: float):
-        L, i1 = _invert_trigamma(t * k2)
-        M, i2 = _invert_trigamma((1.0 - t) * k2)
-        return L, M, i1 + i2
+    def min_share(slot: int, kind: str) -> float:
+        # the share that keeps a = psi'^-1(q^2 y) inside the inversion box,
+        # or q = sqrt(psi'(a) / y) at most 1e6
+        a, q = gammas[slot]
+        if kind == "a":
+            return 1.01 * _TRIGAMMA_FLOOR / q**2
+        return polygamma(1, a) / 1e12
 
-    def g(t: float) -> float:
-        L, M, _ = shapes(t)
-        return polygamma(2, L) - polygamma(2, M) - k3
-
-    edge = max(1e-12, 1.01 * _trigamma_floor() / k2)
-    t_lo, t_hi = edge, 1.0 - edge
-    if t_lo >= t_hi:
-        raise InfeasibleCumulantsError(f"k2={k2:g} too small to invert")
-    if g(t_lo) < 0.0 or g(t_hi) > 0.0:
-        raise InfeasibleCumulantsError(
-            f"no positive shapes reproduce (k2, k3) = ({k2:g}, {k3:g})"
-        )
-    t_star, info = brentq(
-        g, t_lo, t_hi, xtol=1e-15, rtol=8.9e-16, maxiter=200, full_output=True
+    (_, first, first_kind), (_, second, second_kind) = spec.free
+    # Two free a's with equal q are interchangeable (gamma-gamma).  Scanning
+    # only t >= 1/2 gives the first the larger psi', so the smaller a.
+    tie = (
+        first_kind == second_kind == "a"
+        and gammas[first][1] == gammas[second][1]
     )
-    if not info.converged:
-        raise NonConvergenceError("shape solve did not converge")
-    L, M, extra = shapes(t_star)
-    mu = (L / M) * math.exp(k[0] - polygamma(0, L) + polygamma(0, M))
-    return Fisher(L=L, M=M, mu=mu), info.iterations + extra
-
-
-def _fit_weibull_nakagami(k):
-    # psi'(1)/c^2 + psi'(alpha)/4 = k2 and psi''(1)/c^3 + psi''(alpha)/8 = k3.
-    # Parameterize the k2 split: u = psi'(1)/c^2 = t*k2.  The residual is not
-    # monotone in t and the (k2, k3) system can have two genuine solutions;
-    # bracket every sign change and, when k4 is provided, let it pick the
-    # branch (k4 = psi'''(1)/c^4 + psi'''(alpha)/16 differs between branches).
-    k2, k3 = k[1], k[2]
-    _require_positive_k2(k2)
-    psi1_1 = polygamma(1, 1.0)
-
-    def params(t: float):
-        c = math.sqrt(psi1_1 / (t * k2))
-        alpha, iters = _invert_trigamma(4.0 * (1.0 - t) * k2)
-        return c, alpha, iters
-
-    def g(t: float) -> float:
-        c, alpha, _ = params(t)
-        return polygamma(2, 1.0) / c**3 + polygamma(2, alpha) / 8.0 - k3
-
-    floor = _trigamma_floor()
-    t_min = max(1e-12, psi1_1 / (k2 * 1e12))  # c <= 1e6
-    t_max = 1.0 - max(1e-12, 1.01 * floor / (4.0 * k2))
-    if t_min >= t_max:
+    t_lo = 0.5 if tie else max(1e-12, min_share(first, first_kind) / rest)
+    t_hi = 1.0 - max(1e-12, min_share(second, second_kind) / rest)
+    if not t_lo < t_hi:
         raise InfeasibleCumulantsError(f"k2={k2:g} admits no shape split")
-    grid = np.linspace(t_min, t_max, 257)
-    residuals = [g(t) for t in grid]
-    roots = []
+    grid = np.linspace(t_lo, t_hi, _SCAN_POINTS)
+    g = residual(grid, 3)
+    if tie and abs(g[0]) <= 1e-9 * max(1.0, abs(k3)):
+        # equal shapes: the root at t = 1/2 is where the swapped pair of
+        # roots meets, and the residual only touches zero there
+        g[0] = 0.0
+    roots = list(grid[g == 0.0])
     iterations = 0
+
+    def g_at(t: float) -> float:
+        return float(residual(t, 3))
 
     def solve(lo: float, hi: float) -> None:
         nonlocal iterations
-        t_star, info = brentq(
-            g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200, full_output=True
-        )
+        t_star, info = brentq(g_at, lo, hi, **_BRENTQ)
         if not info.converged:
             raise NonConvergenceError("shape solve did not converge")
         roots.append(t_star)
         iterations += info.iterations
 
-    for i in range(len(grid) - 1):
-        if residuals[i] == 0.0:
-            roots.append(grid[i])
-        elif residuals[i] * residuals[i + 1] < 0.0:
-            solve(grid[i], grid[i + 1])
-    if residuals[-1] == 0.0:
-        roots.append(grid[-1])
+    for i in np.flatnonzero(g[:-1] * g[1:] < 0.0):
+        solve(grid[i], grid[i + 1])
     if not roots:
         # Two roots can share one scan cell, next to the grid point of least
         # |g|: the residual keeps its sign on the grid and crosses zero only
         # around its extremum there.  Find the extremum and bracket each side.
-        i = int(np.argmin(np.abs(residuals)))
+        i = int(np.argmin(np.abs(g)))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        sign = math.copysign(1.0, residuals[i])
+        sign = math.copysign(1.0, g[i])
         extremum = minimize_scalar(
-            lambda t: sign * g(t), bounds=(lo, hi), method="bounded"
+            lambda t: sign * g_at(t), bounds=(lo, hi), method="bounded"
         )
         iterations += extremum.nfev
         if extremum.fun < 0.0:
@@ -467,34 +441,10 @@ def _fit_weibull_nakagami(k):
         raise InfeasibleCumulantsError(
             f"no positive shapes reproduce (k2, k3) = ({k2:g}, {k3:g})"
         )
+    roots.sort()
     if len(roots) > 1 and len(k) >= 4:
-
-        def k4_mismatch(t: float) -> float:
-            c, alpha, _ = params(t)
-            k4 = polygamma(3, 1.0) / c**4 + polygamma(3, alpha) / 16.0
-            return abs(k4 - k[3])
-
-        roots.sort(key=k4_mismatch)
-    c, alpha, extra = params(roots[0])
-    # sigma and b enter k1 only through ln(sigma/b): fix b = 1, report sigma.
-    sigma = math.exp(
-        2.0 * (k[0] - polygamma(0, 1.0) / c - 0.5 * polygamma(0, alpha))
-    )
-    return WeibullNakagami(c=c, alpha=alpha, b=1.0, sigma=sigma), iterations + extra
-
-
-_FIT_SOLVERS = {
-    "exponential": (_fit_exponential, 1),
-    "gamma": (_fit_gamma, 2),
-    "nakagami": (_fit_nakagami, 2),
-    "maxwell": (_fit_maxwell, 1),
-    "weibull": (_fit_weibull, 2),
-    "rayleigh": (_fit_rayleigh, 1),
-    "gamma_gamma": (_fit_gamma_gamma_full, 3),
-    "k_amplitude": (_fit_k_amplitude, 2),
-    "weibull_nakagami": (_fit_weibull_nakagami, 3),
-    "fisher": (_fit_fisher, 3),
-}
+        roots.sort(key=lambda t: abs(float(residual(t, 4))))
+    return roots[0], iterations
 
 
 def fit_molc(
@@ -509,15 +459,22 @@ def fit_molc(
     fitted with mu fixed at 1 and WeibullNakagami with b fixed at 1: the
     remaining scale absorbs the joint scale, which log-cumulants cannot
     separate.
+
+    (k2, k3) can have two solutions (Weibull-Nakagami does, for some
+    models).  Given k4, the solution whose k4 is closer is returned;
+    without k4, the first in scan order: the one whose first shape takes
+    the smaller share of k2, which for Weibull-Nakagami is the larger c.
+    Raises InfeasibleCumulantsError when no positive parameters reproduce
+    the cumulants.
     """
     if isinstance(family, type):
         name = getattr(family, "family", None)
     else:
         name = family
-    if name not in _FIT_SOLVERS:
+    if name not in _FIT_SPECS:
         raise ParameterError(
             f"cannot fit family {family!r}; expected one of "
-            f"{sorted(_FIT_SOLVERS)}"
+            f"{sorted(_FIT_SPECS)}"
         )
     if not isinstance(cumulants, LogStats):
         raise ParameterError("cumulants must be a LogStats value")
@@ -526,9 +483,14 @@ def fit_molc(
     if cumulants.convention != CONVENTION_STANDARD:
         raise ParameterError("fit input must use the standard convention")
 
-    solver, orders_used = _FIT_SOLVERS[name]
-    _require_orders(cumulants.values, orders_used, name)
-    model, iterations = solver(cumulants.values)
+    spec = _FIT_SPECS[name]
+    orders_used = 1 + len(spec.free)
+    if len(cumulants.values) < orders_used:
+        raise ParameterError(
+            f"family {name!r} needs log-cumulants up to order {orders_used}, "
+            f"got {len(cumulants.values)}"
+        )
+    model, iterations = _molc_solve(spec, cumulants.values)
     validate(model)
 
     fitted = mellin.log_cumulants(model, orders_used)

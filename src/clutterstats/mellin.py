@@ -271,7 +271,14 @@ def _psi_closed(powers, gammas, d: float) -> float:
     for base, e in powers:
         total += (e * d) * math.log(base)
     for a, q in sorted(gammas):
-        total += log_gamma(a + d / q) - log_gamma(a)
+        x = a + d / q
+        if not x > 0.0:
+            # s is inside the strip, but a + (s-1)/q rounds onto the pole
+            raise StripError(
+                f"s - 1 = {d!r} puts Gamma({a:g} + (s-1)/{q:g}) on its pole "
+                f"in floating point"
+            )
+        total += log_gamma(x) - log_gamma(a)
     return total
 
 

@@ -22,8 +22,14 @@ import numpy as np
 
 from . import estimate
 from .errors import ClutterStatsError, NumericOverflowError, ParameterError
-from .estimate import SampleSet, empirical_log_cumulants, empirical_log_moments
-from .mellin import KIND_LOG_MOMENTS, convert, factor_table, log_cumulants
+from .estimate import SampleSet, empirical_log_moments
+from .mellin import (
+    KIND_LOG_CUMULANTS,
+    KIND_LOG_MOMENTS,
+    convert,
+    factor_table,
+    log_cumulants,
+)
 from .models import ClutterModel, Gamma, GammaGamma, validate
 from .specfun import polygamma
 
@@ -250,7 +256,9 @@ def figure1_experiment(config: Fig1Config = Fig1Config()) -> Fig1Table:
 
     Per grid point: empirical second and fourth data log-moments against the
     closed forms, and texture log-cumulants estimated by subtracting the
-    speckle's closed-form cumulants against psi'(M) and psi'''(M).
+    speckle's closed-form cumulants against psi'(M) and psi'''(M).  The data
+    log-cumulants are converted from the same log-moments, so each point's
+    samples are summed once.
     """
     speckle = Gamma(L=config.L, mu=1.0)
     rows = []
@@ -260,8 +268,10 @@ def figure1_experiment(config: Fig1Config = Fig1Config()) -> Fig1Table:
             compound = GammaGamma(L=config.L, M=M, mu=config.mu)
             theory_moments = convert(log_cumulants(compound, 4), KIND_LOG_MOMENTS)
             est_moments = empirical_log_moments(samples, 4)
+            if samples.count < 2:
+                raise ParameterError("log-cumulants need at least 2 samples")
             est_texture = estimate.texture_log_cumulants(
-                empirical_log_cumulants(samples, 4), speckle, 4
+                convert(est_moments, KIND_LOG_CUMULANTS), speckle, 4
             )
         except ClutterStatsError as exc:
             raise type(exc)(f"grid point M={M:g}: {exc}") from exc

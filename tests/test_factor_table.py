@@ -91,6 +91,38 @@ def test_phi_at_strip_edges(family, data):
             cs.psi(model, edge - inward * step)
 
 
+def _value_or_strip_error(fn, model, s):
+    try:
+        value = fn(model, s)
+    except cs.StripError:
+        return
+    assert math.isfinite(value)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_phi_one_ulp_inside_strip_edges(family, data):
+    # one ulp inside an edge, a + (s-1)/q can round onto the pole itself
+    model = data.draw(models(family, 0.05, 20.0))
+    strip = cs.analyticity_strip(model)
+    for edge in (strip.lower, strip.upper):
+        if math.isinf(edge):
+            continue
+        s = math.nextafter(edge, 1.0)
+        _value_or_strip_error(cs.phi, model, s)
+        _value_or_strip_error(cs.psi, model, s)
+
+
+def test_phi_at_rounded_pole_raises_strip_error():
+    model = cs.Gamma(L=8.460103081643798, mu=9.593548815332065)
+    s = math.nextafter(1.0 - model.L, 1.0)
+    with pytest.raises(cs.StripError):
+        cs.phi(model, s)
+    with pytest.raises(cs.StripError):
+        cs.psi(model, s)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @settings(max_examples=25)
 @given(data=st.data())

@@ -201,6 +201,20 @@ SMALL_CONFIG = cs.Fig1Config(
     M_grid=(0.25, 0.5, 1.0, 4.0, 16.0), samples_per_point=20_000, seed=42
 )
 
+TINY_CONFIG = cs.Fig1Config(M_grid=(0.5, 4.0), samples_per_point=500, seed=7)
+# figure1_experiment(TINY_CONFIG).to_csv() as computed when the texture
+# cumulants came from a second pass of empirical_log_cumulants over the data
+TINY_CSV = (
+    "M,m2_data_theory,m2_data_est,m4_data_theory,m4_data_est,"
+    "k2_texture_theory,k2_texture_est,k4_texture_theory,k4_texture_est\n"
+    "0.5,7.1801361542020015,8.333234326833736,339.14794670835204,"
+    "473.2691450563638,4.93480220054468,5.90610890580338,97.40909103400242,"
+    "137.7442135876008\n"
+    "4.0,0.6354297967510685,0.6117601183022621,1.4585633480133244,"
+    "1.3822474526028599,0.28382295573711525,0.24325744476381606,"
+    "0.04486532819275508,0.04891210996243147\n"
+)
+
 
 class TestFigure1:
     def test_table_structure(self):
@@ -283,6 +297,22 @@ class TestFigure1:
         assert np.array_equal(
             cs.figure1_point_samples(config, 0).values, direct.values
         )
+
+    def test_csv_digits_fixed(self):
+        assert cs.figure1_experiment(TINY_CONFIG).to_csv() == TINY_CSV
+
+    def test_log_moments_computed_once_per_point(self, monkeypatch):
+        calls = []
+        real = cs.estimate.empirical_log_moments
+
+        def counting(samples, max_n):
+            calls.append(max_n)
+            return real(samples, max_n)
+
+        monkeypatch.setattr(cs.estimate, "empirical_log_moments", counting)
+        monkeypatch.setattr(cs.simulate, "empirical_log_moments", counting)
+        cs.figure1_experiment(TINY_CONFIG)
+        assert calls == [4, 4]
 
     def test_point_errors_annotated_with_m(self):
         # one draw per point: cumulant estimation needs two, and the error
