@@ -27,7 +27,10 @@ _EXIT_USAGE = 1
 _EXIT_NUMERIC = 2
 _EXIT_DOMAIN = 3
 
-_MODEL_FLAGS = ("L", "M", "mu", "sigma", "b", "c", "z", "alpha")
+# one --<field> flag per parameter name of any family
+_MODEL_FLAGS = tuple(
+    dict.fromkeys(f.name for cls in models.FAMILIES.values() for f in fields(cls))
+)
 
 
 class _UsageError(Exception):

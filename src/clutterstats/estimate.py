@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import special
 from scipy.optimize import brentq, minimize_scalar
 
 from . import mellin
@@ -55,9 +54,8 @@ from .models import (
     Rayleigh,
     Weibull,
     WeibullNakagami,
-    validate,
 )
-from .specfun import polygamma
+from .specfun import _polygamma_kernel, polygamma
 
 __all__ = [
     "SampleSet",
@@ -223,13 +221,6 @@ def texture_log_cumulants(
     return LogStats(KIND_LOG_CUMULANTS, CONVENTION_STANDARD, values)
 
 
-def _polygamma(n: int, x):
-    """psi^(n)(x) for n >= 1, elementwise.  Equal bit for bit to
-    scipy.special.polygamma, without its per-call order-0 branch, which
-    costs more than the function itself on small arrays."""
-    return (-1.0) ** (n + 1) * math.factorial(n) * special.zeta(n + 1, x)
-
-
 def _invert_trigamma(y) -> Tuple[np.ndarray, int]:
     """x with psi'(x) = y elementwise, and the number of Newton steps taken.
 
@@ -254,14 +245,14 @@ def _invert_trigamma(y) -> Tuple[np.ndarray, int]:
     x = np.minimum(np.maximum(1.0 / y + 0.5, lo), hi)
     active = np.ones(y.shape, dtype=bool)
     for iteration in range(1, _TRIGAMMA_MAX_ITER + 1):
-        fx = _polygamma(1, x) - y
+        fx = _polygamma_kernel(1, x) - y
         active &= ~(np.abs(fx) <= 1e-10 * y)
         if not active.any():
             return x, iteration
         # psi' decreasing: a value too large means x too small
         lo = np.where(fx > 0.0, x, lo)
         hi = np.where(fx > 0.0, hi, x)
-        candidate = x - fx / _polygamma(2, x)
+        candidate = x - fx / _polygamma_kernel(2, x)
         inside = (lo < candidate) & (candidate < hi)
         candidate = np.where(inside, candidate, 0.5 * (lo + hi))
         x = np.where(active, candidate, x)
@@ -357,7 +348,8 @@ def _molc_solve(spec: _FitSpec, k: Sequence[float]):
         def residual(t, n):
             """k_n of the split t minus the given k_n."""
             terms = fixed + slots(t)[0]
-            return sum(_polygamma(n - 1, a) / q**n for a, q in terms) - k[n - 1]
+            total = sum(_polygamma_kernel(n - 1, a) / q**n for a, q in terms)
+            return total - k[n - 1]
 
         t = 1.0
         if len(spec.free) == 2:
@@ -403,7 +395,7 @@ def _shape_split(spec: _FitSpec, gammas, k, rest: float, residual):
         raise InfeasibleCumulantsError(f"k2={k2:g} admits no shape split")
     grid = np.linspace(t_lo, t_hi, _SCAN_POINTS)
     g = residual(grid, 3)
-    if tie and abs(g[0]) <= 1e-9 * max(1.0, abs(k3)):
+    if tie and abs(g[0]) <= 1e-9 * abs(k3):
         # equal shapes: the root at t = 1/2 is where the swapped pair of
         # roots meets, and the residual only touches zero there
         g[0] = 0.0
@@ -491,7 +483,6 @@ def fit_molc(
             f"got {len(cumulants.values)}"
         )
     model, iterations = _molc_solve(spec, cumulants.values)
-    validate(model)
 
     fitted = mellin.log_cumulants(model, orders_used)
     residual = max(

@@ -50,7 +50,6 @@ from .models import (
     Weibull,
     WeibullNakagami,
     pdf,
-    validate,
 )
 from .specfun import (
     DEFAULT_TOLERANCE,
@@ -159,67 +158,6 @@ _INF = math.inf
 
 
 @singledispatch
-def _factors(model):
-    raise ParameterError(f"no transform for {type(model).__name__}")
-
-
-@_factors.register
-def _(model: Exponential):
-    return [(model.mu, 1.0)], [(1.0, 1.0)]
-
-
-@_factors.register
-def _(model: Gamma):
-    return [(model.mu / model.L, 1.0)], [(model.L, 1.0)]
-
-
-@_factors.register
-def _(model: Nakagami):
-    return [(model.mu / math.sqrt(model.L), 1.0)], [(model.L, 2.0)]
-
-
-@_factors.register
-def _(model: Maxwell):
-    return [(2.0 * model.sigma**2, 0.5)], [(1.5, 2.0)]
-
-
-@_factors.register
-def _(model: Weibull):
-    return [(model.z, 1.0)], [(1.0, model.b)]
-
-
-@_factors.register
-def _(model: Rayleigh):
-    return [(model.z, 1.0)], [(1.0, 2.0)]
-
-
-@_factors.register
-def _(model: GammaGamma):
-    L, M = model.L, model.M
-    return [(model.mu / (L * M), 1.0)], [(L, 1.0), (M, 1.0)]
-
-
-@_factors.register
-def _(model: KAmplitude):
-    return [(model.b, -0.5), (model.mu, 1.0)], [(1.0, 2.0), (model.alpha, 2.0)]
-
-
-@_factors.register
-def _(model: WeibullNakagami):
-    return [(model.sigma / model.b, 0.5)], [(1.0, model.c), (model.alpha, 2.0)]
-
-
-@_factors.register
-def _(model: Fisher):
-    L, M = model.L, model.M
-    return [(M * model.mu / L, 1.0)], [(L, 1.0), (M, -1.0)]
-
-
-@_factors.register
-def _(model: InverseGamma):
-    return [(model.mu, 1.0)], [(model.M, -1.0)]
-
-
 def factor_table(model: ClutterModel):
     """Mellin factor table (powers, gammas) of a model.
 
@@ -228,8 +166,64 @@ def factor_table(model: ClutterModel):
     X = prod base^e * prod G_a^(1/q) with independent unit-scale gamma
     variates G_a.  Gamma factors are listed speckle first.
     """
-    validate(model)
-    return _factors(model)
+    raise ParameterError(f"not a clutter model: {model!r}")
+
+
+@factor_table.register
+def _(model: Exponential):
+    return [(model.mu, 1.0)], [(1.0, 1.0)]
+
+
+@factor_table.register
+def _(model: Gamma):
+    return [(model.mu / model.L, 1.0)], [(model.L, 1.0)]
+
+
+@factor_table.register
+def _(model: Nakagami):
+    return [(model.mu / math.sqrt(model.L), 1.0)], [(model.L, 2.0)]
+
+
+@factor_table.register
+def _(model: Maxwell):
+    return [(2.0 * model.sigma**2, 0.5)], [(1.5, 2.0)]
+
+
+@factor_table.register
+def _(model: Weibull):
+    return [(model.z, 1.0)], [(1.0, model.b)]
+
+
+@factor_table.register
+def _(model: Rayleigh):
+    return [(model.z, 1.0)], [(1.0, 2.0)]
+
+
+@factor_table.register
+def _(model: GammaGamma):
+    L, M = model.L, model.M
+    return [(model.mu / (L * M), 1.0)], [(L, 1.0), (M, 1.0)]
+
+
+@factor_table.register
+def _(model: KAmplitude):
+    return [(model.b, -0.5), (model.mu, 1.0)], [(1.0, 2.0), (model.alpha, 2.0)]
+
+
+@factor_table.register
+def _(model: WeibullNakagami):
+    return [(model.sigma / model.b, 0.5)], [(1.0, model.c), (model.alpha, 2.0)]
+
+
+@factor_table.register
+def _(model: Fisher):
+    L, M = model.L, model.M
+    return [(M * model.mu / L, 1.0)], [(L, 1.0), (M, -1.0)]
+
+
+@factor_table.register
+def _(model: InverseGamma):
+    return [(model.mu, 1.0)], [(model.M, -1.0)]
 
 
 # The closed forms below accumulate gamma factors in ascending (a, q) order,
@@ -338,12 +332,11 @@ def phi_numeric(
 
 def classical_moment(model: ClutterModel, n: int) -> float:
     """Classical (first-kind) moment m_n = Phi(n + 1)."""
-    validate(model)
     if isinstance(n, bool) or not isinstance(n, int):
         raise ParameterError(f"moment order must be an integer, got {n!r}")
     if n < 1:
         raise ParameterError(f"moment order must be >= 1, got {n}")
-    strip = _strip_of(_factors(model)[1])
+    strip = analyticity_strip(model)
     s = float(n + 1)
     if s >= strip.upper:
         raise MomentDivergesError(
@@ -401,9 +394,8 @@ def log_cumulants_numeric(model: ClutterModel, max_n: int) -> LogStats:
     O(h^2) differences cannot reach the 1e-3 bound for shape parameters near
     0.5, where the sixth derivative of Psi is of order 1e4.
     """
-    validate(model)
     _check_max_n(max_n, 4)
-    strip = _strip_of(_factors(model)[1])
+    strip = analyticity_strip(model)
     margin = min(1.0 - strip.lower, strip.upper - 1.0)
 
     def psi_at(s: float) -> float:
@@ -432,7 +424,6 @@ def log_cumulants_numeric(model: ClutterModel, max_n: int) -> LogStats:
 
 def log_moments(model: ClutterModel, max_n: int) -> LogStats:
     """Log-moments m~_n = E[(ln X)^n] for n = 1..max_n (max_n up to 4)."""
-    validate(model)
     _check_max_n(max_n, 4)
     return convert(log_cumulants(model, max_n), KIND_LOG_MOMENTS)
 

@@ -6,8 +6,11 @@ ones built from a speckle component whose mean is modulated by a random
 texture (gamma-gamma, K, generalized Weibull-Nakagami, Fisher).  An auxiliary
 inverse-gamma family exists as the texture component of the Fisher model.
 
-All supports are (0, inf) and all parameters are strictly positive.  Model
-values are immutable; every operation is a pure function and thread-safe.
+All supports are (0, inf) and all parameters are strictly positive.  Every
+family derives from ClutterModel, which checks that rule when a model is
+built (directly, through dataclasses.replace or through model_from_dict), so
+a model that exists is valid and no operation checks it again.  Model values
+are immutable; every operation is a pure function and thread-safe.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, fields
 from functools import singledispatch
-from typing import ClassVar, Union
+from typing import ClassVar
 
 import scipy.integrate
 from scipy.special import gammaln, kve
@@ -53,7 +56,26 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Exponential:
+class ClutterModel:
+    """Base of every family: construction rejects any parameter that is not a
+    finite real number > 0, so every ClutterModel value is valid."""
+
+    family: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ParameterError(f"parameter {field.name} must be a real number")
+            value = float(value)
+            if math.isnan(value) or math.isinf(value):
+                raise ParameterError(f"parameter {field.name} must be finite")
+            if value <= 0:
+                raise ParameterError(f"parameter {field.name} must be > 0")
+
+
+@dataclass(frozen=True)
+class Exponential(ClutterModel):
     """Power pdf f(x) = exp(-x/mu) / mu with mean mu (gamma with L = 1)."""
 
     mu: float
@@ -61,7 +83,7 @@ class Exponential:
 
 
 @dataclass(frozen=True)
-class Gamma:
+class Gamma(ClutterModel):
     """Speckle-power pdf with L looks and mean power mu:
 
     f(v) = (L/mu)^L v^(L-1) exp(-L v / mu) / Gamma(L)
@@ -73,7 +95,7 @@ class Gamma:
 
 
 @dataclass(frozen=True)
-class Nakagami:
+class Nakagami(ClutterModel):
     """Amplitude pdf with shape L and scale mu:
 
     f(r) = 2 (L/mu^2)^L r^(2L-1) exp(-L r^2 / mu^2) / Gamma(L)
@@ -87,7 +109,7 @@ class Nakagami:
 
 
 @dataclass(frozen=True)
-class Maxwell:
+class Maxwell(ClutterModel):
     """Speed-like amplitude pdf with scale sigma:
 
     f(u) = sqrt(2/pi) u^2 exp(-u^2 / (2 sigma^2)) / sigma^3
@@ -98,7 +120,7 @@ class Maxwell:
 
 
 @dataclass(frozen=True)
-class Weibull:
+class Weibull(ClutterModel):
     """Long-tailed amplitude pdf with shape b and scale z:
 
     f(x) = (b/z) (x/z)^(b-1) exp(-(x/z)^b)
@@ -110,7 +132,7 @@ class Weibull:
 
 
 @dataclass(frozen=True)
-class Rayleigh:
+class Rayleigh(ClutterModel):
     """Amplitude pdf f(r) = 2 (r/z^2) exp(-(r/z)^2): Weibull with b = 2."""
 
     z: float
@@ -118,7 +140,7 @@ class Rayleigh:
 
 
 @dataclass(frozen=True)
-class GammaGamma:
+class GammaGamma(ClutterModel):
     """Compound power model: unit-mean gamma speckle (shape L) times gamma
     texture (shape M, mean mu):
 
@@ -135,7 +157,7 @@ class GammaGamma:
 
 
 @dataclass(frozen=True)
-class KAmplitude:
+class KAmplitude(ClutterModel):
     """Compound amplitude (K) model: Rayleigh speckle whose mean-square is
     gamma-distributed with shape alpha and rate b; mu is an overall amplitude
     scale (the textbook K-pdf has mu = 1):
@@ -151,7 +173,7 @@ class KAmplitude:
 
 
 @dataclass(frozen=True)
-class WeibullNakagami:
+class WeibullNakagami(ClutterModel):
     """Compound amplitude model: generalized Weibull speckle (shape c) whose
     scale is Nakagami-distributed (shape alpha, rate b on the mean square),
     with overall mean-square scale sigma.  The density has no elementary
@@ -170,7 +192,7 @@ class WeibullNakagami:
 
 
 @dataclass(frozen=True)
-class Fisher:
+class Fisher(ClutterModel):
     """Compound power model with gamma speckle (shape L) and inverse-gamma
     texture (shape M), scale mu:
 
@@ -187,7 +209,7 @@ class Fisher:
 
 
 @dataclass(frozen=True)
-class InverseGamma:
+class InverseGamma(ClutterModel):
     """Texture component of the Fisher model: reciprocal of a gamma variate,
     shape M and scale mu:
 
@@ -199,35 +221,7 @@ class InverseGamma:
     family: ClassVar[str] = "inverse_gamma"
 
 
-ClutterModel = Union[
-    Exponential,
-    Gamma,
-    Nakagami,
-    Maxwell,
-    Weibull,
-    Rayleigh,
-    GammaGamma,
-    KAmplitude,
-    WeibullNakagami,
-    Fisher,
-    InverseGamma,
-]
-
-_ALL_FAMILY_TYPES = (
-    Exponential,
-    Gamma,
-    Nakagami,
-    Maxwell,
-    Weibull,
-    Rayleigh,
-    GammaGamma,
-    KAmplitude,
-    WeibullNakagami,
-    Fisher,
-    InverseGamma,
-)
-
-FAMILIES = {cls.family: cls for cls in _ALL_FAMILY_TYPES}
+FAMILIES = {cls.family: cls for cls in ClutterModel.__subclasses__()}
 
 COMPOUND_FAMILY_TYPES = (GammaGamma, KAmplitude, WeibullNakagami, Fisher)
 
@@ -246,18 +240,13 @@ class Decomposition:
 
 
 def validate(model: ClutterModel) -> ClutterModel:
-    """Return the model unchanged if every parameter is positive and finite."""
-    if not isinstance(model, _ALL_FAMILY_TYPES):
+    """Return the model unchanged if it is a clutter model.
+
+    A model's parameters are checked when it is built, so any ClutterModel
+    is valid; only values of other types are rejected here.
+    """
+    if not isinstance(model, ClutterModel):
         raise ParameterError(f"not a clutter model: {model!r}")
-    for field in fields(model):
-        value = getattr(model, field.name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParameterError(f"parameter {field.name} must be a real number")
-        value = float(value)
-        if math.isnan(value) or math.isinf(value):
-            raise ParameterError(f"parameter {field.name} must be finite")
-        if value <= 0:
-            raise ParameterError(f"parameter {field.name} must be > 0")
     return model
 
 
@@ -280,7 +269,6 @@ def _exp_or_zero(log_value: float) -> float:
 
 def pdf(model: ClutterModel, x: float) -> float:
     """Probability density of the model at x > 0."""
-    validate(model)
     x = float(x)
     if math.isnan(x) or x <= 0:
         raise ParameterError(f"x must be > 0, got {x!r}")
@@ -296,7 +284,7 @@ def pdf(model: ClutterModel, x: float) -> float:
 
 @singledispatch
 def _pdf(model, x: float) -> float:
-    raise ParameterError(f"no density for {type(model).__name__}")
+    raise ParameterError(f"not a clutter model: {model!r}")
 
 
 @_pdf.register
@@ -492,7 +480,6 @@ def decompose(model: ClutterModel) -> Decomposition:
     amplitude domain as well (square root of the gamma-distributed mean
     square), so the product identity holds exactly.
     """
-    validate(model)
     if isinstance(model, GammaGamma):
         return Decomposition(
             speckle=Gamma(L=model.L, mu=1.0),
@@ -516,6 +503,7 @@ def decompose(model: ClutterModel) -> Decomposition:
             speckle=Gamma(L=model.L, mu=1.0),
             texture=InverseGamma(M=model.M, mu=model.M * model.mu),
         )
+    validate(model)
     raise NotCompoundError(f"{type(model).__name__} is not a compound model")
 
 
@@ -529,7 +517,8 @@ def model_to_dict(model: ClutterModel) -> dict:
 
 
 def model_from_dict(record: dict) -> ClutterModel:
-    """Inverse of model_to_dict; validates family, field names and values."""
+    """Inverse of model_to_dict; checks family and field names, and the
+    values through the model's construction."""
     if "family" not in record:
         raise ParameterError("model record must contain a 'family' key")
     data = dict(record)
@@ -557,7 +546,7 @@ def model_from_dict(record: dict) -> ClutterModel:
             f"family {name!r} requires parameters {sorted(missing)}"
         )
     try:
-        model = cls(**{key: float(value) for key, value in data.items()})
+        values = {key: float(value) for key, value in data.items()}
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"invalid parameters for {name!r}: {exc}") from exc
-    return validate(model)
+    return cls(**values)

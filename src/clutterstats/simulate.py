@@ -30,7 +30,7 @@ from .mellin import (
     factor_table,
     log_cumulants,
 )
-from .models import ClutterModel, Gamma, GammaGamma, validate
+from .models import ClutterModel, Gamma, GammaGamma
 from .specfun import polygamma
 
 __all__ = [
@@ -104,7 +104,6 @@ def sample(model: ClutterModel, n: int, rng: RngState) -> SampleSet:
     (5e-324)^a / Gamma(a + 1) per draw, 3.5e-7 at a = 0.02 and 0.024 at
     a = 0.005.
     """
-    validate(model)
     if isinstance(n, bool) or not isinstance(n, int):
         raise ParameterError(f"n must be an integer, got {n!r}")
     if n < 1:

@@ -89,7 +89,19 @@ def polygamma(order: int, x: float) -> float:
     x = _check_positive("x", x)
     if order == 0:
         return float(scipy.special.psi(x))
-    return float(scipy.special.polygamma(order, x))
+    return float(_polygamma_kernel(order, x))
+
+
+def _polygamma_kernel(order: int, x):
+    """psi^(order)(x) for order >= 1, elementwise and unchecked.
+
+    (-1)^(order+1) order! zeta(order+1, x) is the formula
+    scipy.special.polygamma evaluates, so the results agree bit for bit;
+    calling zeta directly skips polygamma's order-0 branch, which costs more
+    than the function itself on scalars and small arrays.
+    """
+    scale = (-1.0) ** (order + 1) * math.factorial(order)
+    return scale * scipy.special.zeta(order + 1, x)
 
 
 def bessel_k(nu: float, x: float) -> float:

@@ -223,6 +223,16 @@ class TestFitMolc:
         assert a == b
         assert a.model.L <= a.model.M
 
+    def test_gamma_gamma_large_near_equal_shapes(self):
+        # k3 is about 8e-4 here: an absolute equal-shapes tolerance would
+        # snap the fit to L = M = 50.025
+        model = cs.GammaGamma(L=50.0, M=50.05, mu=1.3)
+        report = cs.fit_molc("gamma_gamma", cs.log_cumulants(model, 4))
+        assert report.converged
+        fitted = dataclasses.asdict(report.model)
+        for name, value in dataclasses.asdict(model).items():
+            assert fitted[name] == pytest.approx(value, rel=1e-9), name
+
     def test_weibull_nakagami_roots_in_one_scan_cell(self):
         # both roots of the (k2, k3) residual fall inside one cell of the
         # scan grid, so the grid alone sees no sign change

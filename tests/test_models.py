@@ -1,5 +1,6 @@
 """Family validation, densities, compound structure, serialization."""
 
+import dataclasses
 import math
 
 import pytest
@@ -34,6 +35,33 @@ class TestValidate:
     def test_not_a_model(self):
         with pytest.raises(cs.ParameterError):
             cs.validate("gamma")
+
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            (cls, field.name)
+            for cls in cs.FAMILIES.values()
+            for field in dataclasses.fields(cls)
+        ],
+    )
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (0.0, "must be > 0"),
+            (-1.0, "must be > 0"),
+            (math.nan, "must be finite"),
+            (math.inf, "must be finite"),
+            (True, "must be a real number"),
+            ("2", "must be a real number"),
+        ],
+    )
+    def test_construction_rejects_bad_field(self, cls, name, bad, message):
+        ones = {field.name: 1.0 for field in dataclasses.fields(cls)}
+        expected = f"^parameter {name} {message}$"
+        with pytest.raises(cs.ParameterError, match=expected):
+            cls(**{**ones, name: bad})
+        with pytest.raises(cs.ParameterError, match=expected):
+            dataclasses.replace(cls(**ones), **{name: bad})
 
 
 class TestPdfPointValues:
@@ -188,4 +216,8 @@ class TestSerialization:
 
     def test_invalid_value(self):
         with pytest.raises(cs.ParameterError, match="must be > 0"):
+            cs.model_from_dict({"family": "gamma", "L": -1.0, "mu": 1.0})
+
+    def test_invalid_value_message_is_not_wrapped(self):
+        with pytest.raises(cs.ParameterError, match="^parameter L must be > 0$"):
             cs.model_from_dict({"family": "gamma", "L": -1.0, "mu": 1.0})

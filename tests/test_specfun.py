@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 import clutterstats as cs
 from clutterstats.specfun import (
@@ -67,6 +68,13 @@ class TestPolygamma:
         for x in np.geomspace(0.1, 100.0, 30):
             lhs = polygamma(0, x + 1.0) - polygamma(0, x)
             assert abs(lhs - 1.0 / x) <= 1e-11
+
+    def test_equals_scipy_bitwise(self):
+        for order in range(1, 7):
+            for x in np.geomspace(1e-8, 1e8, 400):
+                assert polygamma(order, x) == float(
+                    scipy.special.polygamma(order, x)
+                ), (order, x)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_polygamma_recurrence(self, m):
