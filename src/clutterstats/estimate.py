@@ -13,7 +13,7 @@ cumulants estimates the texture cumulants directly.
 MoLC fitting equates the lowest-order log-cumulants with their closed forms
 and solves for the parameters.  Every family's closed forms are sums over its
 Mellin factor table (mellin.factor_table): k_n = sum q^(-n) psi^(n-1)(a) over
-the gamma factors (a, q), with k1 adding sum e ln(base).  One solver inverts
+the gamma factors (a, q), with k1 adding sum e ln(num/den).  One solver inverts
 these sums for every family; a family only names which factor slot each of
 its shapes sets (a or q), which fields the fit pins, and its scale field.
 k2, less what the fixed factors give, is split between the free shapes and

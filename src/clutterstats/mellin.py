@@ -6,14 +6,15 @@ Classical moments are Phi evaluated at integer points (m_n = Phi(n+1));
 log-moments are derivatives of Phi at s = 1 and log-cumulants are derivatives
 of Psi at s = 1.
 
-Every family's Phi has the same shape: a product of power terms base^(e*d)
-and gamma ratios Gamma(a + d/q) / Gamma(a), with d = s - 1.  Each family
-states that product once, as a factor table; the analyticity strip, psi and
-phi, classical moments and log-cumulants of every order are derived from it
-(k_n = sum of q^(-n) psi^(n-1)(a), Nicolas, Traitement du Signal 19(3),
-2002), and so is the sampler in simulate.  A compound family's table joins
-its speckle and texture factors, which is why compound transforms factor and
-log-cumulants add across speckle and texture.
+Every family's Phi has the same shape: a product of power terms
+(num/den)^(e*d) and gamma ratios Gamma(a + d/q) / Gamma(a), with d = s - 1.
+Each simple family states that product once, as a factor table; the
+analyticity strip, psi and phi, classical moments and log-cumulants of every
+order are derived from it (k_n = sum of q^(-n) psi^(n-1)(a), Nicolas,
+Traitement du Signal 19(3), 2002).  A compound is the product of independent
+speckle and texture variates (a Mellin convolution), so its table is not
+written out: it is its declared components' tables (models.decompose)
+joined, and its transform factors and its log-cumulants add by construction.
 
 Two numerical routes double-check the closed forms: direct quadrature of
 the transform integral over the density (phi_numeric, which takes only the
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import singledispatch
 from typing import Tuple
 
 from scipy.special import gamma as sc_gamma
@@ -39,16 +39,13 @@ from .errors import (
 from .models import (
     ClutterModel,
     Exponential,
-    Fisher,
     Gamma,
-    GammaGamma,
     InverseGamma,
-    KAmplitude,
     Maxwell,
     Nakagami,
     Rayleigh,
     Weibull,
-    WeibullNakagami,
+    decompose,
     pdf,
 )
 from .specfun import (
@@ -149,81 +146,46 @@ class LogStats:
 
 
 # ---------------------------------------------------------------------------
-# The Mellin factor table of each family (see factor_table).  The divisor q
-# is stored rather than 1/q so that the strip endpoints 1 - a*q come out
-# exact.  Gamma factors are listed speckle first, the order in which the
-# sampler draws them.
+# The Mellin factor table of each simple family, and of each compound as the
+# join of its components' tables (see factor_table).  The divisor q is stored
+# rather than 1/q so that the strip endpoints 1 - a*q come out exact.
 
-_INF = math.inf
+_SIMPLE_TABLES = {
+    Exponential: lambda m: ([(m.mu, 1.0, 1.0)], [(1.0, 1.0)]),
+    Gamma: lambda m: ([(m.mu, m.L, 1.0)], [(m.L, 1.0)]),
+    Nakagami: lambda m: ([(m.mu, math.sqrt(m.L), 1.0)], [(m.L, 2.0)]),
+    Maxwell: lambda m: ([(2.0 * m.sigma**2, 1.0, 0.5)], [(1.5, 2.0)]),
+    Weibull: lambda m: ([(m.z, 1.0, 1.0)], [(1.0, m.b)]),
+    Rayleigh: lambda m: ([(m.z, 1.0, 1.0)], [(1.0, 2.0)]),
+    InverseGamma: lambda m: ([(m.mu, 1.0, 1.0)], [(m.M, -1.0)]),
+}
 
 
-@singledispatch
 def factor_table(model: ClutterModel):
     """Mellin factor table (powers, gammas) of a model.
 
-    powers = [(base, e)] and gammas = [(a, q)] give
-    Phi(s) = prod base^(e*(s-1)) * prod Gamma(a + (s-1)/q) / Gamma(a), and
-    X = prod base^e * prod G_a^(1/q) with independent unit-scale gamma
-    variates G_a.  Gamma factors are listed speckle first.
+    powers = [(num, den, e)] and gammas = [(a, q)] give
+    Phi(s) = prod (num/den)^(e*(s-1)) * prod Gamma(a + (s-1)/q) / Gamma(a),
+    and X = prod (num/den)^e * prod G_a^(1/q) with independent unit-scale
+    gamma variates G_a.  A compound's table is its speckle's and its
+    texture's (models.decompose) joined, gamma factors speckle first.
     """
-    raise ParameterError(f"not a clutter model: {model!r}")
-
-
-@factor_table.register
-def _(model: Exponential):
-    return [(model.mu, 1.0)], [(1.0, 1.0)]
-
-
-@factor_table.register
-def _(model: Gamma):
-    return [(model.mu / model.L, 1.0)], [(model.L, 1.0)]
-
-
-@factor_table.register
-def _(model: Nakagami):
-    return [(model.mu / math.sqrt(model.L), 1.0)], [(model.L, 2.0)]
-
-
-@factor_table.register
-def _(model: Maxwell):
-    return [(2.0 * model.sigma**2, 0.5)], [(1.5, 2.0)]
-
-
-@factor_table.register
-def _(model: Weibull):
-    return [(model.z, 1.0)], [(1.0, model.b)]
-
-
-@factor_table.register
-def _(model: Rayleigh):
-    return [(model.z, 1.0)], [(1.0, 2.0)]
-
-
-@factor_table.register
-def _(model: GammaGamma):
-    L, M = model.L, model.M
-    return [(model.mu / (L * M), 1.0)], [(L, 1.0), (M, 1.0)]
-
-
-@factor_table.register
-def _(model: KAmplitude):
-    return [(model.b, -0.5), (model.mu, 1.0)], [(1.0, 2.0), (model.alpha, 2.0)]
-
-
-@factor_table.register
-def _(model: WeibullNakagami):
-    return [(model.sigma / model.b, 0.5)], [(1.0, model.c), (model.alpha, 2.0)]
-
-
-@factor_table.register
-def _(model: Fisher):
-    L, M = model.L, model.M
-    return [(M * model.mu / L, 1.0)], [(L, 1.0), (M, -1.0)]
-
-
-@factor_table.register
-def _(model: InverseGamma):
-    return [(model.mu, 1.0)], [(model.M, -1.0)]
+    table = _SIMPLE_TABLES.get(type(model))
+    if table is not None:
+        return table(model)
+    parts = decompose(model)
+    speckle_powers, speckle_gammas = factor_table(parts.speckle)
+    texture_powers, texture_gammas = factor_table(parts.texture)
+    # Scales of equal exponent merge into one whose numerator and denominator
+    # are products of two factors, which do not depend on the order of the
+    # components: gamma-gamma's table, and every result derived from it, is
+    # the same when L and M are swapped.
+    scales = {}
+    for num, den, e in speckle_powers + texture_powers:
+        other_num, other_den = scales.get(e, (1.0, 1.0))
+        scales[e] = (other_num * num, other_den * den)
+    powers = [(num, den, e) for e, (num, den) in scales.items()]
+    return powers, speckle_gammas + texture_gammas
 
 
 # The closed forms below accumulate gamma factors in ascending (a, q) order,
@@ -234,7 +196,7 @@ def _(model: InverseGamma):
 def _strip_of(gammas) -> AnalyticityStrip:
     # Gamma(a + d/q) has its first pole at s = 1 - a*q: below s = 1 for q > 0,
     # above it for q < 0.
-    lower, upper = -_INF, _INF
+    lower, upper = -math.inf, math.inf
     for a, q in gammas:
         if q > 0:
             lower = max(lower, 1.0 - a * q)
@@ -262,8 +224,8 @@ def _check_strip(model: ClutterModel, gammas, s: float) -> float:
 def _psi_closed(powers, gammas, d: float) -> float:
     # Each gamma term vanishes exactly at d = 0, so Psi(1) = 0 exactly.
     total = 0.0
-    for base, e in powers:
-        total += (e * d) * math.log(base)
+    for num, den, e in powers:
+        total += (e * d) * math.log(num / den)
     for a, q in sorted(gammas):
         x = a + d / q
         if not x > 0.0:
@@ -295,8 +257,8 @@ def phi(model: ClutterModel, s: float) -> float:
     d = s - 1.0
     try:
         value = 1.0
-        for base, e in powers:
-            value *= math.pow(base, e * d)
+        for num, den, e in powers:
+            value *= math.pow(num / den, e * d)
         for a, q in sorted(gammas):
             value *= float(sc_gamma(a + d / q)) / float(sc_gamma(a))
     except OverflowError:
@@ -372,8 +334,8 @@ def log_cumulants(model: ClutterModel, max_n: int) -> LogStats:
     for n in range(1, max_n + 1):
         total = 0.0
         if n == 1:
-            for base, e in powers:
-                total += e * math.log(base)
+            for num, den, e in powers:
+                total += e * math.log(num / den)
         for a, q in gammas:
             value = polygamma(n - 1, a)
             total += value / q if n == 1 else q ** (-n) * value

@@ -11,6 +11,12 @@ family derives from ClutterModel, which checks that rule when a model is
 built (directly, through dataclasses.replace or through model_from_dict), so
 a model that exists is valid and no operation checks it again.  Model values
 are immutable; every operation is a pure function and thread-safe.
+
+A compound family declares its (speckle, texture) components once, in its
+_components method; decompose returns them, and the compound's Mellin factor
+table and sampler are derived from them.  The densities do not use the
+declaration, so the Mellin convolution of the components' densities checks
+it against the compound's (verify).
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, fields
-from functools import singledispatch
-from typing import ClassVar
+from functools import cached_property, singledispatch
+from typing import Callable, ClassVar, Optional, Tuple
 
 import scipy.integrate
 from scipy.special import gammaln, kve
@@ -61,6 +67,9 @@ class ClutterModel:
     finite real number > 0, so every ClutterModel value is valid."""
 
     family: ClassVar[str]
+    # a compound family overrides this with a method returning its
+    # (speckle, texture) components
+    _components: ClassVar[Optional[Callable]] = None
 
     def __post_init__(self) -> None:
         for field in fields(self):
@@ -72,6 +81,16 @@ class ClutterModel:
                 raise ParameterError(f"parameter {field.name} must be finite")
             if value <= 0:
                 raise ParameterError(f"parameter {field.name} must be > 0")
+
+    @cached_property
+    def _decomposition(self) -> "Decomposition":
+        # built once: building models checks their parameters
+        try:
+            return Decomposition(*self._components())
+        except ParameterError as exc:
+            raise NumericOverflowError(
+                f"components of {self!r} are not representable: {exc}"
+            ) from exc
 
 
 @dataclass(frozen=True)
@@ -155,6 +174,9 @@ class GammaGamma(ClutterModel):
     mu: float
     family: ClassVar[str] = "gamma_gamma"
 
+    def _components(self) -> Tuple[ClutterModel, ClutterModel]:
+        return Gamma(L=self.L, mu=1.0), Gamma(L=self.M, mu=self.mu)
+
 
 @dataclass(frozen=True)
 class KAmplitude(ClutterModel):
@@ -170,6 +192,12 @@ class KAmplitude(ClutterModel):
     b: float
     mu: float = 1.0
     family: ClassVar[str] = "k_amplitude"
+
+    def _components(self) -> Tuple[ClutterModel, ClutterModel]:
+        # the texture is the amplitude, the square root of the gamma mean
+        # square, so the components multiply to the compound amplitude
+        texture = Nakagami(L=self.alpha, mu=math.sqrt(self.alpha / self.b))
+        return Rayleigh(z=self.mu), texture
 
 
 @dataclass(frozen=True)
@@ -190,6 +218,12 @@ class WeibullNakagami(ClutterModel):
     sigma: float
     family: ClassVar[str] = "weibull_nakagami"
 
+    def _components(self) -> Tuple[ClutterModel, ClutterModel]:
+        texture = Nakagami(
+            L=self.alpha, mu=math.sqrt(self.alpha * self.sigma / self.b)
+        )
+        return Weibull(b=self.c, z=1.0), texture
+
 
 @dataclass(frozen=True)
 class Fisher(ClutterModel):
@@ -207,6 +241,9 @@ class Fisher(ClutterModel):
     mu: float
     family: ClassVar[str] = "fisher"
 
+    def _components(self) -> Tuple[ClutterModel, ClutterModel]:
+        return Gamma(L=self.L, mu=1.0), InverseGamma(M=self.M, mu=self.M * self.mu)
+
 
 @dataclass(frozen=True)
 class InverseGamma(ClutterModel):
@@ -223,7 +260,9 @@ class InverseGamma(ClutterModel):
 
 FAMILIES = {cls.family: cls for cls in ClutterModel.__subclasses__()}
 
-COMPOUND_FAMILY_TYPES = (GammaGamma, KAmplitude, WeibullNakagami, Fisher)
+COMPOUND_FAMILY_TYPES = tuple(
+    cls for cls in FAMILIES.values() if cls._components is not None
+)
 
 
 @dataclass(frozen=True)
@@ -257,6 +296,7 @@ _WN_INNER_TOL = Tolerance(abs_tol=1e-14, rel_tol=1e-10, max_subdivisions=200)
 
 _LOG_EPS = -745.0  # exp() underflows to zero below this
 _LOG_MAX = 709.0
+_LN2 = math.log(2.0)
 
 
 def _exp_or_zero(log_value: float) -> float:
@@ -346,13 +386,61 @@ def _(model: Rayleigh, x: float) -> float:
 
 
 def _log_kve(nu: float, w: float) -> float:
-    """log of the scaled Bessel K; raises on overflow at extreme arguments."""
+    """ln(K_nu(w) e^w), the log of the scaled Bessel K.
+
+    Where kve overflows (large order, small argument), ln K_nu is computed
+    without forming K_nu, from K_nu(w) = Int_0^inf exp(-w cosh t) cosh(nu t) dt
+    (DLMF 10.32.9), shifted by the log of the integrand at its peak.
+    """
     value = float(kve(nu, w))
-    if math.isinf(value) or value <= 0.0:
+    if math.isfinite(value) and value > 0.0:
+        return math.log(value)
+    nu = abs(nu)
+    if not (w > 0.0 and nu < 1e13):
+        # (beyond order 1e13 the densities' log terms round by over 1e-3)
         raise NumericOverflowError(
             f"Bessel factor not representable (nu={nu:g}, w={w:g})"
         )
-    return math.log(value)
+    log_w = math.log(w)
+    # the integrand peaks near t = asinh(nu / w), here without forming nu / w;
+    # ln cosh(nu t) = nu t + ln(1 + e^(-2 nu t)) - ln 2, whose middle term is
+    # the tail
+    peak = math.log(nu) - log_w + math.log1p(math.hypot(1.0, w / nu))
+    peak_tail = math.log1p(math.exp(-2.0 * nu * peak))
+
+    def log_ratio(d: float) -> float:
+        # ln of the integrand at t = peak + d over its value at the peak, with
+        # the cosh difference as 2 sinh(peak + d/2) sinh(d/2): exact to
+        # rounding near the peak
+        mid = peak + 0.5 * d
+        if log_w + mid > _LOG_MAX:
+            return -math.inf
+        two_w_sinh_mid = math.exp(log_w + mid) - math.exp(log_w - mid)
+        tail = math.log1p(math.exp(-2.0 * nu * (peak + d))) - peak_tail
+        return nu * d + tail - two_w_sinh_mid * math.sinh(0.5 * d)
+
+    # ln cosh(nu t) - w (cosh t - 1) at the peak
+    cosh_peak = 0.5 * (math.exp(log_w + peak) + math.exp(log_w - peak))
+    shift = nu * peak + peak_tail - _LN2 - cosh_peak + w
+    # outside [lo, hi] the integrand is below e^-40 of its value at the peak,
+    # whose width is about (nu^2 + w^2)^(-1/4)
+    width = math.hypot(nu, w) ** -0.5
+    lo, hi, step = 0.0, 0.0, width
+    while lo > -peak and log_ratio(lo) > -40.0:
+        lo, step = max(-peak, -step), 2.0 * step
+    step = width
+    while log_ratio(hi) > -40.0:
+        hi, step = step, 2.0 * step
+    # the terms of log_ratio, about sqrt(nu) in size, round to about
+    # eps sqrt(nu), and the integral is no more accurate than that
+    epsrel = max(1e-13, 1e-14 * math.sqrt(nu))
+    out = scipy.integrate.quad(
+        lambda d: math.exp(log_ratio(d)), lo, hi, points=[0.0], epsabs=0.0,
+        epsrel=epsrel, limit=200, full_output=1,
+    )
+    if len(out) > 3 or not out[0] > 0.0:
+        raise NonConvergenceError(f"Bessel integral failed (nu={nu:g}, w={w:g})")
+    return shift + math.log(out[0])
 
 
 @_pdf.register
@@ -473,38 +561,16 @@ def _(model: InverseGamma, x: float) -> float:
 
 
 def decompose(model: ClutterModel) -> Decomposition:
-    """Split a compound model into (speckle, texture) components whose
+    """The (speckle, texture) components a compound family declares; their
     second-kind characteristic functions multiply to the compound's.
 
-    Texture components of the amplitude-domain compounds are returned in the
-    amplitude domain as well (square root of the gamma-distributed mean
-    square), so the product identity holds exactly.
+    Amplitude-domain compounds have amplitude-domain textures (the square
+    root of the gamma-distributed mean square).  Raises NumericOverflowError
+    when a component's parameters are not representable as doubles.
     """
-    if isinstance(model, GammaGamma):
-        return Decomposition(
-            speckle=Gamma(L=model.L, mu=1.0),
-            texture=Gamma(L=model.M, mu=model.mu),
-        )
-    if isinstance(model, KAmplitude):
-        return Decomposition(
-            speckle=Rayleigh(z=model.mu),
-            texture=Nakagami(L=model.alpha, mu=math.sqrt(model.alpha / model.b)),
-        )
-    if isinstance(model, WeibullNakagami):
-        return Decomposition(
-            speckle=Weibull(b=model.c, z=1.0),
-            texture=Nakagami(
-                L=model.alpha,
-                mu=math.sqrt(model.alpha * model.sigma / model.b),
-            ),
-        )
-    if isinstance(model, Fisher):
-        return Decomposition(
-            speckle=Gamma(L=model.L, mu=1.0),
-            texture=InverseGamma(M=model.M, mu=model.M * model.mu),
-        )
-    validate(model)
-    raise NotCompoundError(f"{type(model).__name__} is not a compound model")
+    if validate(model)._components is None:
+        raise NotCompoundError(f"{type(model).__name__} is not a compound model")
+    return model._decomposition
 
 
 def model_to_dict(model: ClutterModel) -> dict:

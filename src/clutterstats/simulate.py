@@ -3,11 +3,13 @@
 Randomness comes from the counter-based Philox bit generator keyed by a
 (seed, stream) pair, so identical states reproduce identical sequences across
 runs and platforms; uniform doubles use the 53-bit mantissa construction.
-Every family is sampled from its Mellin factor table (mellin.factor_table):
-X = prod base^e * prod G_a^(1/q) with independent unit-scale gamma variates
-G_a.  Shape-1 factors are drawn by inverse CDF, -ln U; other shapes by
-Marsaglia-Tsang rejection, valid for all shapes.  A compound family's gamma
-factors are drawn on independent sub-streams, speckle first.
+A simple family is sampled from its Mellin factor table
+(mellin.factor_table): X = (num/den)^e * G_a^(1/q) with G_a a unit-scale
+gamma variate.  Shape-1 variates are drawn by inverse CDF, -ln U; other
+shapes by Marsaglia-Tsang rejection, valid for all shapes.  A compound
+family is sampled as the product of its declared speckle and texture
+(models.decompose), drawn on independent sub-streams, so sampling a
+compound and sample_product of its components are one path.
 """
 
 from __future__ import annotations
@@ -30,7 +32,14 @@ from .mellin import (
     factor_table,
     log_cumulants,
 )
-from .models import ClutterModel, Gamma, GammaGamma
+from .models import (
+    COMPOUND_FAMILY_TYPES,
+    ClutterModel,
+    Decomposition,
+    Gamma,
+    GammaGamma,
+    decompose,
+)
 from .specfun import polygamma
 
 __all__ = [
@@ -80,29 +89,39 @@ class RngState:
         return RngState(self.seed, (2 * self.stream + index) & _MASK64)
 
 
-def _gamma_power(a: float, q: float, n: int, rng: RngState) -> np.ndarray:
-    """n draws of G_a^(1/q), G_a a unit-scale gamma variate of shape a."""
+def _draws(model, n: int, rng: RngState) -> np.ndarray:
+    """n draws of a model or of a Decomposition, which may leave the double
+    range.  A compound is drawn as its Decomposition: speckle draws on
+    rng.child(1) times texture draws on rng.child(2)."""
+    if isinstance(model, COMPOUND_FAMILY_TYPES):
+        model = decompose(model)
+    if isinstance(model, Decomposition):
+        speckle = _draws(model.speckle, n, rng.child(1))
+        return speckle * _draws(model.texture, n, rng.child(2))
+    powers, ((a, q),) = factor_table(model)
     gen = rng.generator()
     if a == 1.0:
         draws = -np.log(gen.random(n) + _U_SHIFT)
     else:
         draws = gen.standard_gamma(a, n)
-    return draws if q == 1.0 else draws ** (1.0 / q)
+    if q != 1.0:
+        draws = draws ** (1.0 / q)
+    return draws * math.prod(math.pow(num / den, e) for num, den, e in powers)
 
 
 def sample(model: ClutterModel, n: int, rng: RngState) -> SampleSet:
     """Draw n independent samples from the model.
 
-    Each draw is X = prod base^e * prod G_a^(1/q) over the model's factor
-    table.  A one-factor family draws on rng itself; a compound family draws
-    gamma factor i on rng.child(i + 1), speckle first, the same streams
-    sample_product uses for its (speckle, texture) pair.
+    A simple family's draw is X = prod (num/den)^e * G_a^(1/q) over its
+    factor table, on rng itself.  A compound family's draw is its speckle's
+    draw times its texture's (models.decompose), exactly as sample_product
+    makes it.
 
     Raises NumericOverflowError when a draw is not representable as a
     positive finite double.  Small gamma shapes cause it: a shape-a variate
     falls below the smallest subnormal (5e-324) with probability about
     (5e-324)^a / Gamma(a + 1) per draw, 3.5e-7 at a = 0.02 and 0.024 at
-    a = 0.005.
+    a = 0.005.  So can a product of draws that over- or underflows.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise ParameterError(f"n must be an integer, got {n!r}")
@@ -110,37 +129,23 @@ def sample(model: ClutterModel, n: int, rng: RngState) -> SampleSet:
         raise ParameterError(f"n must be >= 1, got {n}")
     if not isinstance(rng, RngState):
         raise ParameterError("rng must be an RngState")
-    powers, gammas = factor_table(model)
-    if len(gammas) == 1:
-        streams = [rng]
-    else:
-        streams = [rng.child(i + 1) for i in range(len(gammas))]
-    values = math.prod(math.pow(base, e) for base, e in powers)
-    # Multiplying from the last (texture) factor inwards rounds exactly like
-    # sample_product's speckle * texture whenever the speckle's own scale is
-    # a power of two, and to within an ulp or two otherwise.  A draw that
-    # leaves the double range is reported below rather than warned about.
+    # a draw that leaves the double range is reported below, not warned about
     with np.errstate(divide="ignore", over="ignore"):
-        for (a, q), stream in reversed(list(zip(gammas, streams))):
-            values = _gamma_power(a, q, n, stream) * values
+        values = _draws(model, n, rng)
     try:
         return SampleSet(values)
     except ParameterError as exc:
-        shapes = ", ".join(f"{a:g}" for a, _ in gammas)
         raise NumericOverflowError(
-            f"{model!r}: a draw is not representable as a positive finite "
-            f"double (gamma shapes {shapes})"
+            f"{model!r}: a draw is not representable as a positive finite double"
         ) from exc
 
 
 def sample_product(
     speckle: ClutterModel, texture: ClutterModel, n: int, rng: RngState
 ) -> SampleSet:
-    """Draw x_i = u_i * z_i with u ~ speckle and z ~ texture on independent
-    sub-streams of rng."""
-    u = sample(speckle, n, rng.child(1))
-    z = sample(texture, n, rng.child(2))
-    return SampleSet(u.values * z.values)
+    """Draw x_i = u_i * z_i with u ~ speckle on rng.child(1) and z ~ texture
+    on rng.child(2), as sample draws a compound with these components."""
+    return sample(Decomposition(speckle, texture), n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +245,12 @@ def _point_rng(config: Fig1Config, index: int) -> RngState:
 
 
 def figure1_point_samples(config: Fig1Config, index: int) -> SampleSet:
-    """Samples of the speckle-texture product for one grid point."""
+    """Samples of the gamma-speckle x gamma-texture compound for one grid
+    point."""
     if not 0 <= index < len(config.M_grid):
         raise ParameterError(f"index {index} outside grid of {len(config.M_grid)}")
-    speckle = Gamma(L=config.L, mu=1.0)
-    texture = Gamma(L=config.M_grid[index], mu=config.mu)
-    return sample_product(
-        speckle, texture, config.samples_per_point, _point_rng(config, index)
-    )
+    compound = GammaGamma(L=config.L, M=config.M_grid[index], mu=config.mu)
+    return sample(compound, config.samples_per_point, _point_rng(config, index))
 
 
 def figure1_experiment(config: Fig1Config = Fig1Config()) -> Fig1Table:

@@ -305,6 +305,27 @@ class TestVerifyCommand:
         assert record["passed"] is True
         assert all(check["passed"] for check in record["checks"])
 
+    def test_check_names_cover_every_family(self, capsys):
+        # the benchmark's oracle workload reads the family from the trailing
+        # "[family]" of each check name, requires the ten families of the
+        # paper among them, and requires the same checks on every run
+        names = []
+        for _ in range(2):
+            code, out, _ = invoke(capsys, "verify", "--format", "json")
+            names.append([check["name"] for check in json.loads(out)["checks"]])
+        assert names[0] == names[1]
+        families = [name.split("[")[-1] for name in names[0]]
+        assert all(family.endswith("]") for family in families)
+        covered = {family[:-1] for family in families}
+        assert covered <= set(cs.FAMILIES)
+        assert covered >= set(cs.FAMILIES) - {"inverse_gamma"}
+
+    @pytest.mark.parametrize("tolerance", ["0", "-1"])
+    def test_non_positive_tolerance_fails(self, capsys, tolerance):
+        code, out, _ = invoke(capsys, "verify", "--tolerance", tolerance)
+        assert code == 2
+        assert "FAIL" in out
+
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--tolerance", "1e-15")
         assert code == 2

@@ -1,7 +1,8 @@
 """Properties of everything derived from the Mellin factor table, checked over
 each family's parameter domain: strips, Phi/Psi at and near the strip edges,
-closed-form log-cumulants against the differentiation oracle, and the
-sampler's log-cumulants against the closed forms."""
+closed-form log-cumulants against the differentiation oracle, the sampler's
+log-cumulants against the closed forms, and each compound's density against
+the Mellin convolution of the components it declares."""
 
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clutterstats as cs
-from clutterstats.verify import _CUMULANT_FLOORS, _QUAD_TOL
+from clutterstats.verify import _CUMULANT_FLOORS, _QUAD_TOL, _convolution
 
 INF = math.inf
 
@@ -166,6 +167,41 @@ def test_phi_matches_quadrature_weibull_nakagami(data):
     _check_phi_against_quadrature("weibull_nakagami", data)
 
 
+COMPOUNDS = ("gamma_gamma", "k_amplitude", "weibull_nakagami", "fisher")
+
+
+def _check_density_is_convolution(model, z):
+    # x lies z log-standard-deviations from the log-mean, in the bulk of the
+    # density; far in a tail the convolution quadrature loses the peak of its
+    # integrand
+    k1, k2 = cs.log_cumulants(model, 2).values
+    x = math.exp(k1 + z * math.sqrt(k2))
+    density = cs.pdf(model, x)
+    assert abs(_convolution(cs.decompose(model), x) - density) <= 1e-8 * density
+
+
+@pytest.mark.parametrize("family", COMPOUNDS)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_density_is_convolution_of_components(family, data):
+    # shapes of 0.5..20: narrower or spikier components put the convolution
+    # integrand's peak where the quadrature does not sample it
+    model = data.draw(models(family, 0.5, 20.0))
+    _check_density_is_convolution(model, data.draw(st.floats(-2.0, 2.0)))
+
+
+@settings(max_examples=30)
+@given(
+    L=st.floats(0.5, 20.0),
+    M=st.floats(20.0, 1000.0),
+    mu=st.floats(0.1, 10.0),
+    z=st.floats(-2.0, 2.0),
+)
+def test_gamma_gamma_density_far_apart_shapes(L, M, mu, z):
+    # K_(M-L) overflows a double in the bulk for about one model in four
+    _check_density_is_convolution(cs.GammaGamma(L, M, mu), z)
+
+
 @settings(max_examples=60)
 @given(
     L=st.floats(0.05, 50.0), M=st.floats(0.05, 50.0), mu=st.floats(0.1, 10.0)
@@ -173,6 +209,9 @@ def test_phi_matches_quadrature_weibull_nakagami(data):
 def test_gamma_gamma_swap_bit_identical(L, M, mu):
     a, b = cs.GammaGamma(L, M, mu), cs.GammaGamma(M, L, mu)
     assert cs.log_cumulants(a, 6) == cs.log_cumulants(b, 6)
+    assert cs.log_moments(a, 4) == cs.log_moments(b, 4)
+    for n in (1, 2, 3):
+        assert cs.classical_moment(a, n) == cs.classical_moment(b, n)
     for s in (0.75, 1.5, 2.5):
         if cs.analyticity_strip(a).contains(s):
             assert cs.phi(a, s) == cs.phi(b, s)

@@ -3,9 +3,14 @@
 import dataclasses
 import math
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import kve
 
 import clutterstats as cs
+from clutterstats.models import _log_kve
 from clutterstats.specfun import Tolerance, integrate_semi_infinite
 
 from conftest import ALL_MODELS
@@ -149,6 +154,14 @@ class TestDecompose:
         assert parts.speckle == cs.Gamma(L=2.0, mu=1.0)
         assert parts.texture == cs.InverseGamma(M=3.0, mu=3.0)
 
+    def test_unrepresentable_components_overflow(self):
+        # valid parameters whose texture scale sqrt(alpha / b) overflows
+        model = cs.KAmplitude(alpha=1e300, b=1e-300)
+        with pytest.raises(cs.NumericOverflowError):
+            cs.decompose(model)
+        with pytest.raises(cs.NumericOverflowError):
+            cs.phi(model, 1.5)
+
     def test_simple_families_refuse(self):
         for model in (cs.Rayleigh(z=1.0), cs.Gamma(2.0, 1.0), cs.Maxwell(1.0)):
             with pytest.raises(cs.NotCompoundError):
@@ -158,27 +171,89 @@ class TestDecompose:
 class TestCompoundConsistency:
     """The closed-form compound density equals the numerically-mixed one."""
 
-    @pytest.mark.parametrize("x", [0.1, 1.0, 5.0])
-    def test_gamma_gamma_mixture(self, x):
-        model = cs.GammaGamma(L=2.0, M=3.0, mu=1.5)
+    @staticmethod
+    def _mixed(model, x):
         parts = cs.decompose(model)
 
         def integrand(z):
             return cs.pdf(parts.speckle, x / z) * cs.pdf(parts.texture, z) / z
 
-        mixed = integrate_semi_infinite(integrand, NORM_TOL)
-        assert mixed == pytest.approx(cs.pdf(model, x), rel=1e-5)
+        return integrate_semi_infinite(integrand, NORM_TOL)
+
+    @pytest.mark.parametrize("x", [0.1, 1.0, 5.0])
+    def test_gamma_gamma_mixture(self, x):
+        model = cs.GammaGamma(L=2.0, M=3.0, mu=1.5)
+        assert self._mixed(model, x) == pytest.approx(cs.pdf(model, x), rel=1e-5)
 
     @pytest.mark.parametrize("x", [0.1, 1.0, 5.0])
     def test_k_amplitude_mixture(self, x):
         model = cs.KAmplitude(alpha=2.0, b=1.0, mu=1.0)
-        parts = cs.decompose(model)
+        assert self._mixed(model, x) == pytest.approx(cs.pdf(model, x), rel=1e-5)
 
-        def integrand(z):
-            return cs.pdf(parts.speckle, x / z) * cs.pdf(parts.texture, z) / z
+    @pytest.mark.parametrize("x", [0.1, 1.0, 5.0])
+    def test_weibull_nakagami_mixture(self, x):
+        model = cs.WeibullNakagami(c=1.7, alpha=2.5, b=1.3, sigma=0.8)
+        assert self._mixed(model, x) == pytest.approx(cs.pdf(model, x), rel=1e-5)
 
-        mixed = integrate_semi_infinite(integrand, NORM_TOL)
-        assert mixed == pytest.approx(cs.pdf(model, x), rel=1e-5)
+    @pytest.mark.parametrize("x", [0.1, 1.0, 5.0])
+    def test_fisher_mixture(self, x):
+        model = cs.Fisher(L=2.0, M=3.0, mu=1.3)
+        assert self._mixed(model, x) == pytest.approx(cs.pdf(model, x), rel=1e-5)
+
+
+def _mp_log_kve(nu, w):
+    with mpmath.workdps(30):
+        return float(mpmath.log(mpmath.besselk(nu, w)) + w)
+
+
+class TestBesselOverflow:
+    """Where scipy's kve overflows, ln K_nu comes from its integral form."""
+
+    @settings(max_examples=40)
+    @given(log_nu=st.floats(math.log(2.0), math.log(1e4)), t=st.floats(0.0, 1.0))
+    def test_log_kve_matches_mpmath(self, log_nu, t):
+        nu = math.exp(log_nu)
+        w = math.exp(-300.0 + t * (log_nu + 300.0))  # 1e-130 .. nu
+        assume(math.isinf(kve(nu, w)))
+        reference = _mp_log_kve(nu, w)
+        assert abs(_log_kve(nu, w) - reference) <= 2e-15 * max(1.0, abs(reference))
+
+    def test_finite_kve_path_unchanged(self):
+        assert _log_kve(2.5, 3.0) == math.log(kve(2.5, 3.0))
+
+    @pytest.mark.parametrize("nu, w", [(3.0, 0.0), (1e200, 1e-100)])
+    def test_out_of_range_raises_overflow(self, nu, w):
+        # an argument that underflowed to 0, and orders beyond 1e13
+        with pytest.raises(cs.NumericOverflowError):
+            _log_kve(nu, w)
+
+    def test_gamma_gamma_far_apart_shapes(self):
+        model = cs.GammaGamma(
+            L=2.040977759444708, M=609.0836347636905, mu=0.26394937090607473
+        )
+        x = 0.26
+        with mpmath.workdps(30):
+            L, M, mu = map(mpmath.mpf, (model.L, model.M, model.mu))
+            reference = float(
+                2 * (L * M / mu) ** ((L + M) / 2) * mpmath.mpf(x) ** ((L + M) / 2 - 1)
+                * mpmath.besselk(M - L, 2 * mpmath.sqrt(L * M * x / mu))
+                / (mpmath.gamma(L) * mpmath.gamma(M))
+            )
+        assert cs.pdf(model, x) == pytest.approx(reference, rel=1e-13)
+
+    def test_k_amplitude_large_alpha_small_x(self):
+        model = cs.KAmplitude(
+            alpha=70.9366294304504, b=0.23882070891670856, mu=1.0892275244510095
+        )
+        x = 0.002
+        with mpmath.workdps(30):
+            alpha, b, mu = map(mpmath.mpf, (model.alpha, model.b, model.mu))
+            r = x / mu
+            reference = float(
+                4 * b ** ((alpha + 1) / 2) / mpmath.gamma(alpha) * r**alpha
+                * mpmath.besselk(alpha - 1, 2 * r * mpmath.sqrt(b)) / mu
+            )
+        assert cs.pdf(model, x) == pytest.approx(reference, rel=1e-13)
 
 
 class TestSerialization:

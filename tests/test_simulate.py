@@ -162,7 +162,7 @@ class TestSampleProduct:
 
 
     def test_compound_streams_match_component_product(self):
-        # non-dyadic scales: same streams, values equal to rounding
+        # non-dyadic scales: a compound is drawn as its components' product
         for model in (
             cs.GammaGamma(3.0, 2.0, 1.7),
             cs.KAmplitude(2.0, 1.3, 1.1),
@@ -174,7 +174,19 @@ class TestSampleProduct:
             composed = cs.sample_product(
                 parts.speckle, parts.texture, 1000, cs.RngState(11)
             )
-            assert np.allclose(direct.values, composed.values, rtol=1e-15, atol=0)
+            assert np.array_equal(direct.values, composed.values)
+
+    def test_product_overflow_is_numeric_overflow(self):
+        # the product of two finite draws overflows; warnings are errors in
+        # this suite, so an overflow warning would fail the test too
+        big = cs.Exponential(mu=1e200)
+        with pytest.raises(cs.NumericOverflowError):
+            cs.sample_product(big, big, 10, cs.RngState(1))
+
+    def test_product_underflow_is_numeric_overflow(self):
+        tiny = cs.Gamma(L=0.05, mu=1e-200)
+        with pytest.raises(cs.NumericOverflowError):
+            cs.sample_product(tiny, tiny, 1000, cs.RngState(1))
 
 class TestFig1Config:
     def test_default_grid(self):
