@@ -92,6 +92,7 @@ _TRIGAMMA_RTOL_EXACT = 32.0 * np.finfo(float).eps
 # psi' at the ends of the box, the range of values the inversion accepts
 _TRIGAMMA_TOP = polygamma(1, _TRIGAMMA_LO)
 _TRIGAMMA_FLOOR = polygamma(1, _TRIGAMMA_HI)
+_PI2_6 = math.pi**2 / 6.0  # psi'(x) - 1/x^2 as x -> 0
 
 
 @dataclass
@@ -300,12 +301,17 @@ def _invert_trigamma(
 ) -> Tuple[np.ndarray, int]:
     """x with psi'(x) = y elementwise, and the number of Newton steps taken.
 
-    Every element runs its own Newton iteration, safeguarded by bisection,
-    until its residual is at most rtol * y; the step count is that of the
-    slowest element.
+    Every element runs Newton's method on 1/psi'(x) = 1/y (as limma's
+    trigammaInverse does; Smyth 2004) until its residual |psi'(x) - y| is at
+    most rtol * y, and then stays fixed; the step count is that of the
+    slowest element.  The seed is the inverse of psi'(x) ~ 1/x^2 + pi^2/6
+    for y > 2.5 (small x), else of psi'(x) ~ 1/x + 1/(2x^2) (large x).
+    1/psi' is increasing and convex on (0, inf) (2 psi''^2 > psi' psi'''),
+    so its tangent lies below it: after at most one step every iterate is
+    right of the root and falls to it, and no bracket is needed.
     """
     y = np.asarray(y, dtype=float)
-    if not np.all(y > 0.0):
+    if not (y > 0.0).all():
         raise ParameterError(
             f"trigamma value must be > 0, got {float(np.min(y))!r}"
         )
@@ -315,24 +321,17 @@ def _invert_trigamma(
             f"trigamma inverse of {float(y[outside].flat[0]):g} outside "
             f"[{_TRIGAMMA_LO:g}, {_TRIGAMMA_HI:g}]"
         )
-    lo = np.full(y.shape, _TRIGAMMA_LO)
-    hi = np.full(y.shape, _TRIGAMMA_HI)
-    # asymptotic inverse psi'(x) ~ 1/x + 1/(2x^2) seeds Newton
-    x = np.minimum(np.maximum(1.0 / y + 0.5, lo), hi)
+    x = np.where(
+        y > 2.5, 1.0 / np.sqrt(np.maximum(y, 2.5) - _PI2_6), 1.0 / y + 0.5
+    )
     active = np.ones(y.shape, dtype=bool)
     for iteration in range(1, _TRIGAMMA_MAX_ITER + 1):
-        fx = _polygamma_kernel(1, x) - y
-        active &= ~(np.abs(fx) <= rtol * y)
+        d1 = _polygamma_kernel(1, x)
+        active &= ~(np.abs(d1 - y) <= rtol * y)
         if not active.any():
             return x, iteration
-        # psi' decreasing: a value too large means x too small
-        too_small = fx > 0.0
-        lo = np.where(too_small, x, lo)
-        hi = np.where(too_small, hi, x)
-        candidate = x - fx / _polygamma_kernel(2, x)
-        inside = (lo < candidate) & (candidate < hi)
-        candidate = np.where(inside, candidate, 0.5 * (lo + hi))
-        x = np.where(active, candidate, x)
+        step = d1 * (1.0 - d1 / y) / _polygamma_kernel(2, x)
+        x = np.where(active, x + step, x)
     raise NonConvergenceError(
         f"trigamma inversion did not converge for y={float(y[active].flat[0]):g}"
     )

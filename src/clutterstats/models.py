@@ -31,6 +31,7 @@ import scipy.integrate
 from scipy.special import gammaln, kve
 
 from .errors import (
+    ClutterStatsError,
     NonConvergenceError,
     NotCompoundError,
     NumericOverflowError,
@@ -308,16 +309,29 @@ def _exp_or_zero(log_value: float) -> float:
 
 
 def pdf(model: ClutterModel, x: float) -> float:
-    """Probability density of the model at x > 0."""
+    """Probability density of the model at x > 0.
+
+    Raises NumericOverflowError, naming the model and x, where the density
+    cannot be evaluated in doubles (for example when x / scale underflows).
+    """
     x = float(x)
     if math.isnan(x) or x <= 0:
         raise ParameterError(f"x must be > 0, got {x!r}")
     if math.isinf(x):
         raise ParameterError("x must be finite")
-    value = _pdf(model, x)
+    try:
+        value = _pdf(model, x)
+    except ClutterStatsError:
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        # a log of an underflowed ratio, a division by an underflowed
+        # square, an exp beyond the double range
+        raise NumericOverflowError(
+            f"pdf of {model!r} at x={x!r} is not representable: {exc}"
+        ) from exc
     if math.isnan(value) or math.isinf(value):
         raise NumericOverflowError(
-            f"pdf overflow for {type(model).__name__} at x={x:g}"
+            f"pdf overflow for {model!r} at x={x!r}"
         )
     return value
 
@@ -542,10 +556,12 @@ def _(model: WeibullNakagami, x: float) -> float:
 def _(model: Fisher, x: float) -> float:
     L, M, mu = model.L, model.M, model.mu
     lam = L * x / (M * mu)
+    # Python floats, so that inf - inf (lam or a shape beyond the double
+    # range) is a quiet nan, which pdf reports, not a numpy warning
     log_f = (
-        gammaln(L + M)
-        - gammaln(L)
-        - gammaln(M)
+        float(gammaln(L + M))
+        - float(gammaln(L))
+        - float(gammaln(M))
         + math.log(L / (M * mu))
         + (L - 1.0) * math.log(lam)
         - (L + M) * math.log1p(lam)

@@ -5,8 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import clutterstats as cs
+from clutterstats.estimate import (
+    _TRIGAMMA_FLOOR,
+    _TRIGAMMA_RTOL,
+    _TRIGAMMA_RTOL_EXACT,
+    _TRIGAMMA_TOP,
+    _invert_trigamma,
+)
 from clutterstats.specfun import polygamma
 
 FIT_GRID = [
@@ -184,6 +193,39 @@ class TestInvertTrigamma:
     def test_out_of_box(self):
         with pytest.raises(cs.NonConvergenceError):
             cs.invert_trigamma(1e20)
+
+
+# psi' values log-uniform over the whole inversion box
+TRIGAMMA_VALUES = st.floats(math.log(_TRIGAMMA_FLOOR), math.log(_TRIGAMMA_TOP)).map(
+    lambda u: min(max(math.exp(u), _TRIGAMMA_FLOOR), _TRIGAMMA_TOP)
+)
+BOTH_RTOLS = pytest.mark.parametrize("rtol", [_TRIGAMMA_RTOL, _TRIGAMMA_RTOL_EXACT])
+
+
+class TestInvertTrigammaProperties:
+    @BOTH_RTOLS
+    @settings(max_examples=150)
+    @given(ys=st.lists(TRIGAMMA_VALUES, min_size=1, max_size=8))
+    def test_residual_steps_and_array(self, rtol, ys):
+        xs, steps = _invert_trigamma(np.array(ys), rtol)
+        # Newton on 1/psi' from the two-regime seed; the count guards the speed
+        assert steps <= 6
+        for y, x in zip(ys, xs):
+            scalar, _ = _invert_trigamma(y, rtol)
+            assert float(scalar) == x  # each element iterates on its own
+            assert abs(polygamma(1, float(x)) - y) <= rtol * y
+
+    @BOTH_RTOLS
+    @settings(max_examples=150)
+    @given(
+        y=TRIGAMMA_VALUES,
+        gap=st.floats(math.log(1e-8), math.log(10.0)).map(math.exp),
+    )
+    def test_strictly_decreasing(self, rtol, y, gap):
+        # values closer than the 1e-10 residual allows are not ordered
+        larger = y * (1.0 + gap)
+        assume(larger <= _TRIGAMMA_TOP)
+        assert _invert_trigamma(y, rtol)[0] > _invert_trigamma(larger, rtol)[0]
 
 
 class TestFitMolc:

@@ -108,6 +108,51 @@ class TestPdfPointValues:
         assert cs.pdf(cs.Gamma(2.0, 1.0), 1e6) == 0.0
 
 
+# exp of a uniform log: parameters and x from 1e-300 to 1e300
+LOG_UNIFORM = st.floats(math.log(1e-300), math.log(1e300)).map(math.exp)
+
+
+class TestExtremeScales:
+    """Where the density cannot be evaluated in doubles, pdf raises a typed
+    error naming the model and x, never a bare math or numpy error."""
+
+    @pytest.mark.parametrize(
+        "model, x",
+        [
+            # x / mu underflows to 0 before its log
+            (cs.KAmplitude(alpha=2.0, b=1.0, mu=1e300), 1e-300),
+            # L * M / mu underflows to 0 before its log
+            (cs.GammaGamma(L=1e-300, M=1e-300, mu=1.0), 1e-300),
+        ],
+    )
+    def test_underflowed_log_is_typed(self, model, x):
+        with pytest.raises(cs.NumericOverflowError) as info:
+            cs.pdf(model, x)
+        assert repr(model) in str(info.value)
+        assert repr(x) in str(info.value)
+
+    def test_fisher_overflowed_ratio_is_quiet(self):
+        # lam = L x / (M mu) overflows, and its two log terms are inf - inf:
+        # a quiet nan that pdf reports, not a numpy warning
+        model = cs.Fisher(L=1e5, M=1e-300, mu=1e-5)
+        with pytest.raises(cs.NumericOverflowError, match="Fisher.*x=1.0"):
+            cs.pdf(model, 1.0)
+
+    @pytest.mark.parametrize("family", sorted(cs.FAMILIES))
+    @settings(max_examples=60)
+    @given(data=st.data(), x=LOG_UNIFORM)
+    def test_value_or_typed_error(self, family, data, x):
+        cls = cs.FAMILIES[family]
+        model = cls(
+            **{f.name: data.draw(LOG_UNIFORM, f.name) for f in dataclasses.fields(cls)}
+        )
+        try:
+            value = cs.pdf(model, x)
+        except cs.ClutterStatsError:
+            return
+        assert math.isfinite(value) and value >= 0.0
+
+
 class TestNormalization:
     @pytest.mark.parametrize(
         "model", ALL_MODELS, ids=[repr(m) for m in ALL_MODELS]
