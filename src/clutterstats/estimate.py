@@ -325,11 +325,11 @@ def _invert_trigamma(
         y > 2.5, 1.0 / np.sqrt(np.maximum(y, 2.5) - _PI2_6), 1.0 / y + 0.5
     )
     active = np.ones(y.shape, dtype=bool)
-    for iteration in range(1, _TRIGAMMA_MAX_ITER + 1):
+    for steps in range(_TRIGAMMA_MAX_ITER):
         d1 = _polygamma_kernel(1, x)
         active &= ~(np.abs(d1 - y) <= rtol * y)
         if not active.any():
-            return x, iteration
+            return x, steps
         step = d1 * (1.0 - d1 / y) / _polygamma_kernel(2, x)
         x = np.where(active, x + step, x)
     raise NonConvergenceError(

@@ -23,15 +23,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property, singledispatch
 from typing import Callable, ClassVar, Optional, Tuple
 
+import numpy as np
 import scipy.integrate
-from scipy.special import gammaln, kve
+from scipy.special import betaln, gammaln, kve
 
 from .errors import (
-    ClutterStatsError,
     NonConvergenceError,
     NotCompoundError,
     NumericOverflowError,
@@ -211,6 +212,15 @@ class WeibullNakagami(ClutterModel):
     f(r) = (2 c b^alpha / Gamma(alpha)) r'^(c-1) / sqrt(sigma)
            * Int_0^inf z^(2 alpha - 1 - c) exp(-(r'/z)^c - b z^2) dz,
     with r' = r / sqrt(sigma).
+
+    In u = ln z the integrand is exp(g(u)) with a strictly concave g, so it
+    has one peak.  pdf finds the peak by safeguarded Newton steps from an
+    analytic bracket, walks out from it in doubling steps of the peak's width
+    until g has fallen by 60, and integrates exp(g - g(peak)) over that range
+    with Gauss-Kronrod 7-15 panels, evaluated in numpy a whole set at a time
+    and bisected where they miss their share of a 1e-10 relative budget.  The
+    rule uses the integrand alone, never the closed-form transform that
+    verify checks against it.
     """
 
     c: float
@@ -294,10 +304,93 @@ def validate(model: ClutterModel) -> ClutterModel:
 # callers' budgets so nested integrals (normalization, transforms) still meet
 # their own tolerances.
 _WN_INNER_TOL = Tolerance(abs_tol=1e-14, rel_tol=1e-10, max_subdivisions=200)
+_WN_DROP = 60.0  # the texture integral's range ends where g falls this far
+_WN_MAX_STEPS = 100  # Newton and bisection steps to the texture peak
+# steps of the walk from the texture peak to each end; two panels a step
+_WN_MAX_DOUBLINGS = _WN_INNER_TOL.max_subdivisions // 4
+
+# Gauss-Kronrod 7-15 rule on [-1, 1] (QUADPACK's qk15; Piessens et al. 1983):
+# the Kronrod nodes in (0, 1), the Kronrod weights from the outermost node to
+# 0, and the Gauss weights of every second of those nodes.
+_GK_HALF_NODES = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_GK_HALF_WEIGHTS = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_G_HALF_WEIGHTS = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+_GK_NODES = np.array(
+    [-x for x in _GK_HALF_NODES] + [0.0] + list(reversed(_GK_HALF_NODES))
+)
+_GK_WEIGHTS = np.array(_GK_HALF_WEIGHTS + _GK_HALF_WEIGHTS[-2::-1])
+_G_WEIGHTS = np.array(_G_HALF_WEIGHTS + _G_HALF_WEIGHTS[-2::-1])
+
+
+def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray):
+    """Kronrod estimates of the integrals of f over the panels [lo, hi] and
+    their errors, |Kronrod - Gauss|, all panels in one evaluation of f."""
+    half = 0.5 * (hi - lo)
+    values = f((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES)
+    kronrod = half * (values @ _GK_WEIGHTS)
+    gauss = half * (values[:, 1::2] @ _G_WEIGHTS)
+    return kronrod, np.abs(kronrod - gauss)
+
+
+def _panel_quadrature(f, edges, tol: Tolerance) -> float:
+    """Integral of the vectorised f >= 0 over [edges[0], edges[-1]] to
+    max(abs_tol, rel_tol * result), from Gauss-Kronrod panels between the
+    sorted edges.  Each round bisects the panels whose error exceeds their
+    share of the budget (in proportion to width; the worst panel always),
+    until the errors fit the budget or the panels number max_subdivisions.
+    """
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    span = edges[-1] - edges[0]
+    values, errors = _gauss_kronrod(f, lo, hi)
+    while True:
+        total = float(values.sum())
+        budget = max(tol.abs_tol, tol.rel_tol * total)
+        if float(errors.sum()) <= budget:
+            return total
+        split = errors > budget * (hi - lo) / span
+        split[np.argmax(errors)] = True
+        if lo.size + np.count_nonzero(split) > tol.max_subdivisions:
+            raise NonConvergenceError(
+                f"quadrature error {float(errors.sum()):.3g} above {budget:.3g} "
+                f"after {lo.size} panels"
+            )
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        new_values, new_errors = _gauss_kronrod(f, new_lo, new_hi)
+        keep = ~split
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        values = np.concatenate((values[keep], new_values))
+        errors = np.concatenate((errors[keep], new_errors))
+
 
 _LOG_EPS = -745.0  # exp() underflows to zero below this
 _LOG_MAX = 709.0
 _LN2 = math.log(2.0)
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 def _exp_or_zero(log_value: float) -> float:
@@ -306,6 +399,25 @@ def _exp_or_zero(log_value: float) -> float:
     if log_value > _LOG_MAX:
         raise NumericOverflowError("density overflow")
     return math.exp(log_value)
+
+
+def _quotient(
+    num: Tuple[float, ...], den: Tuple[float, ...]
+) -> Tuple[float, float]:
+    """(q, ln q) for q = prod(num) / prod(den) with factors > 0.
+
+    Where both products and q are normal doubles, q is computed as written, so
+    those values do not change.  Elsewhere (a product or q underflowed or
+    overflowed) ln q is the sum of the factors' logs and q is e^(ln q), 0 or
+    inf beyond the double range.
+    """
+    top, bottom = math.prod(num), math.prod(den)
+    if _TINY <= top <= _HUGE and _TINY <= bottom <= _HUGE:
+        q = top / bottom
+        if _TINY <= q <= _HUGE:
+            return q, math.log(q)
+    log_q = math.fsum(map(math.log, num)) - math.fsum(map(math.log, den))
+    return (math.exp(log_q) if log_q < _LOG_MAX else math.inf), log_q
 
 
 def pdf(model: ClutterModel, x: float) -> float:
@@ -321,11 +433,11 @@ def pdf(model: ClutterModel, x: float) -> float:
         raise ParameterError("x must be finite")
     try:
         value = _pdf(model, x)
-    except ClutterStatsError:
+    except ParameterError:
         raise
     except (ArithmeticError, ValueError) as exc:
-        # a log of an underflowed ratio, a division by an underflowed
-        # square, an exp beyond the double range
+        # a division by an underflowed square, an exp beyond the double
+        # range, a Bessel argument that underflowed (NumericOverflowError)
         raise NumericOverflowError(
             f"pdf of {model!r} at x={x!r} is not representable: {exc}"
         ) from exc
@@ -350,9 +462,9 @@ def _(model: Exponential, x: float) -> float:
 def _(model: Gamma, x: float) -> float:
     L, mu = model.L, model.mu
     log_f = (
-        L * math.log(L / mu)
+        L * _quotient((L,), (mu,))[1]
         + (L - 1.0) * math.log(x)
-        - L * x / mu
+        - _quotient((L, x), (mu,))[0]
         - gammaln(L)
     )
     return _exp_or_zero(log_f)
@@ -363,9 +475,9 @@ def _(model: Nakagami, x: float) -> float:
     L, mu = model.L, model.mu
     log_f = (
         math.log(2.0)
-        + L * math.log(L / (mu * mu))
+        + L * _quotient((L,), (mu, mu))[1]
         + (2.0 * L - 1.0) * math.log(x)
-        - L * x * x / (mu * mu)
+        - _quotient((L, x, x), (mu, mu))[0]
         - gammaln(L)
     )
     return _exp_or_zero(log_f)
@@ -466,7 +578,7 @@ def _(model: GammaGamma, x: float) -> float:
         math.log(2.0)
         - gammaln(L)
         - gammaln(M)
-        + half_sum * math.log(L * M / mu)
+        + half_sum * _quotient((L, M), (mu,))[1]
         + (half_sum - 1.0) * math.log(x)
         + _log_kve(M - L, w)
         - w
@@ -477,12 +589,12 @@ def _(model: GammaGamma, x: float) -> float:
 @_pdf.register
 def _(model: KAmplitude, x: float) -> float:
     alpha, b, mu = model.alpha, model.b, model.mu
-    r = x / mu
+    r, log_r = _quotient((x,), (mu,))
     w = 2.0 * r * math.sqrt(b)
     log_f = (
         math.log(4.0)
         + 0.5 * (alpha + 1.0) * math.log(b)
-        + alpha * math.log(r)
+        + alpha * log_r
         - gammaln(alpha)
         + _log_kve(alpha - 1.0, w)
         - w
@@ -494,78 +606,122 @@ def _(model: KAmplitude, x: float) -> float:
 @_pdf.register
 def _(model: WeibullNakagami, x: float) -> float:
     c, alpha, b = model.c, model.alpha, model.b
-    root_sigma = math.sqrt(model.sigma)
-    r = x / root_sigma
-    ln_r = math.log(r)
-
-    # The texture integral has two scales: the speckle cutoff at z ~ r and
-    # the texture cutoff at z ~ 1/sqrt(b).  Substituting z = exp(u) makes
-    # both knees O(1) wide, so adaptive quadrature resolves them at any r.
-    def log_integrand(u: float) -> float:
-        t = c * (ln_r - u)
-        if t > _LOG_MAX:
-            return -math.inf
-        value = (2.0 * alpha - c) * u - math.exp(t)
-        if 2.0 * u < _LOG_MAX:
-            value -= b * math.exp(2.0 * u)
+    ln_root_sigma = 0.5 * math.log(model.sigma)
+    ln_r = math.log(x) - ln_root_sigma
+    ln_b = math.log(b)
+    # In u = ln z the texture integrand is exp(g(u)) with
+    #   g(u)   = A u - e^(c (ln r - u)) - e^(ln b + 2u),   A = 2 alpha - c,
+    #   g'(u)  = A + c e^(c (ln r - u)) - 2 e^(ln b + 2u),
+    #   g''(u) = -c^2 e^(c (ln r - u)) - 4 e^(ln b + 2u) < 0,
+    # so g is strictly concave and has one peak, where g' = A + B - C = 0 with
+    # B = c e^(c (ln r - u)) falling and C = 2 e^(ln b + 2u) rising.  For
+    # A > 0, g' >= 0 at m, the larger of the points where B = C and C = A,
+    # and g' <= 0 at m + ln(2)/2, where C has doubled.  For A <= 0, g' <= 0 at
+    # m, the smaller of the points where B = C and B = -A, and g' >= 0 at
+    # m - ln(2)/c, where B has doubled.  Newton steps on the decreasing g',
+    # bisected back into that bracket, find the peak.
+    A = 2.0 * alpha - c
+    m = (math.log(c) - _LN2 - ln_b + c * ln_r) / (c + 2.0)  # B = C
+    if A > 0.0:
+        lo = max(m, 0.5 * (math.log(A) - _LN2 - ln_b))  # C = A
+        hi = lo + 0.5 * _LN2
+    else:
+        if A < 0.0:
+            m = min(m, ln_r - (math.log(-A) - math.log(c)) / c)  # B = -A
+        lo, hi = m - _LN2 / c, m
+    u = 0.5 * (lo + hi)
+    previous = math.inf
+    for _ in range(_WN_MAX_STEPS):
+        t1, t2 = c * (ln_r - u), ln_b + 2.0 * u
+        e1, e2 = math.exp(t1), math.exp(t2)
+        curvature = c * c * e1 + 4.0 * e2  # -g''(u)
+        step = (A + c * e1 - 2.0 * e2) / curvature
+        # a step of 1e-9 peak widths leaves the peak about 1e-18 widths out,
+        # and Newton steps this short shrink quadratically until the rounding
+        # of g' stops them, which a step that does not halve shows
+        size = abs(step) * math.sqrt(curvature)
+        if size <= 1e-9 or (size <= 1e-3 and abs(step) > 0.5 * previous):
+            break
+        previous = abs(step)
+        if step > 0.0:
+            lo = u
         else:
-            return -math.inf
-        return value
+            hi = u
+        u, last = (u + step if lo < u + step < hi else 0.5 * (lo + hi)), u
+        if u == last:
+            break  # the bracket has shrunk to adjacent doubles
+    else:
+        raise NonConvergenceError(f"texture peak not found at x={x:g}")
+    u += step
+    t1, t2 = c * (ln_r - u), ln_b + 2.0 * u
+    e1, e2 = math.exp(t1), math.exp(t2)
+    g_peak = A * u - e1 - e2
+    width = 1.0 / math.sqrt(c * c * e1 + 4.0 * e2)
 
-    u_lo = ln_r - 40.0 / c
-    u_hi = 0.5 * math.log(1500.0 / b)
-    while log_integrand(u_hi) > -700.0:
-        u_hi += 1.0
-    if u_lo >= u_hi:
-        return 0.0  # speckle cutoff beyond the texture tail: no mass left
-    scan = [u_lo + (u_hi - u_lo) * i / 64.0 for i in range(65)]
-    shift = max(log_integrand(u) for u in scan)
-    if shift == -math.inf:
-        return 0.0
+    def drop(d, expm1=math.expm1):
+        """g(u + d) - g(u) = -e1 phi(-c d) - e2 phi(2 d), phi(y) = e^y - 1 - y:
+        g'(u) = 0 cancels the terms linear in d, so near the peak no large
+        terms cancel, and both terms are <= 0."""
+        y1, y2 = -c * d, 2.0 * d
+        return -e1 * (expm1(y1) - y1) - e2 * (expm1(y2) - y2)
 
-    def integrand(u: float) -> float:
-        value = log_integrand(u) - shift
-        return math.exp(value) if value > _LOG_EPS else 0.0
+    # Walk out from the peak in doubling steps of its width until g has
+    # fallen _WN_DROP below the peak (by concavity the mass beyond is below
+    # e^-_WN_DROP of the whole); each step is two panels of the quadrature.
+    # A term is not taken past the point where its exp would overflow.
+    edges = [0.0]
+    for sign, t, rate in ((1.0, t2, 2.0), (-1.0, t1, c)):
+        cap = (_LOG_MAX - max(t, 0.0)) / rate
+        near, d = 0.0, width
+        for _ in range(_WN_MAX_DOUBLINGS):
+            d = min(d, cap)
+            edges += (0.5 * sign * (near + d), sign * d)
+            if drop(sign * d) <= -_WN_DROP:
+                break
+            if d == cap:
+                raise NumericOverflowError("texture integrand not representable")
+            near, d = d, 2.0 * d
+        else:
+            raise NonConvergenceError(
+                f"texture integrand spans over {_WN_MAX_DOUBLINGS} doublings "
+                f"of its peak width at x={x:g}"
+            )
+    edges.sort()
 
-    out = scipy.integrate.quad(
-        integrand,
-        u_lo,
-        u_hi,
-        epsabs=1e-14,
-        epsrel=1e-10,
-        limit=_WN_INNER_TOL.max_subdivisions,
-        full_output=1,
-    )
-    if len(out) > 3 or not math.isfinite(out[0]):
-        raise NonConvergenceError(
-            f"texture integral did not converge at x={x:g}"
-        )
-    if out[0] <= 0.0:
-        return 0.0
     log_pref = (
         math.log(2.0 * c)
-        + alpha * math.log(b)
-        - gammaln(alpha)
+        + alpha * ln_b
+        - float(gammaln(alpha))
         + (c - 1.0) * ln_r
-        - math.log(root_sigma)
+        - ln_root_sigma
+        + g_peak
     )
-    return _exp_or_zero(log_pref + shift + math.log(out[0]))
+    if log_pref + math.log(edges[-1] - edges[0]) < _LOG_EPS:
+        return 0.0  # the integrand is at most 1 on the range
+    # an overflow raises FloatingPointError, which pdf reports as
+    # NumericOverflowError, not a numpy warning
+    with np.errstate(over="raise", invalid="raise"):
+        integral = _panel_quadrature(
+            lambda d: np.exp(drop(d, np.expm1)), edges, _WN_INNER_TOL
+        )
+    return _exp_or_zero(log_pref + math.log(integral))
 
 
 @_pdf.register
 def _(model: Fisher, x: float) -> float:
     L, M, mu = model.L, model.M, model.mu
-    lam = L * x / (M * mu)
-    # Python floats, so that inf - inf (lam or a shape beyond the double
-    # range) is a quiet nan, which pdf reports, not a numpy warning
-    log_f = (
-        float(gammaln(L + M))
-        - float(gammaln(L))
-        - float(gammaln(M))
-        + math.log(L / (M * mu))
-        + (L - 1.0) * math.log(lam)
-        - (L + M) * math.log1p(lam)
-    )
+    lam, log_lam = _quotient((L, x), (M, mu))
+    # (L - 1) ln lam - (L + M) ln(1 + lam); for lam > 1 the two large terms
+    # are cancelled by hand, else a large L loses the result to rounding
+    if log_lam > 0.0:
+        shape = -(M + 1.0) * log_lam - (L + M) * math.log1p(1.0 / lam)
+    else:
+        shape = (L - 1.0) * log_lam - (L + M) * math.log1p(lam)
+    # ln B(L, M) by betaln: as a sum of log-gammas it loses everything to
+    # rounding once the shapes differ by many orders (L = 3, M = 1e20); a
+    # Python float, so that a shape beyond the double range gives a quiet
+    # nan, which pdf reports, not a numpy warning
+    log_f = -float(betaln(L, M)) + _quotient((L,), (M, mu))[1] + shape
     return _exp_or_zero(log_f)
 
 

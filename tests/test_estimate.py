@@ -209,11 +209,18 @@ class TestInvertTrigammaProperties:
     def test_residual_steps_and_array(self, rtol, ys):
         xs, steps = _invert_trigamma(np.array(ys), rtol)
         # Newton on 1/psi' from the two-regime seed; the count guards the speed
-        assert steps <= 6
+        assert steps <= 5
         for y, x in zip(ys, xs):
             scalar, _ = _invert_trigamma(y, rtol)
             assert float(scalar) == x  # each element iterates on its own
             assert abs(polygamma(1, float(x)) - y) <= rtol * y
+
+    def test_steps_count_newton_steps(self):
+        # for large y the seed 1/sqrt(y - pi^2/6) already meets the residual
+        assert _invert_trigamma(1e12)[1] == 0
+        assert _invert_trigamma(1e12, _TRIGAMMA_RTOL_EXACT)[1] == 0
+        x, steps = _invert_trigamma(1e6)
+        assert steps == 1 and abs(polygamma(1, float(x)) - 1e6) <= 1e-10 * 1e6
 
     @BOTH_RTOLS
     @settings(max_examples=150)

@@ -4,13 +4,14 @@ import dataclasses
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import kve
 
 import clutterstats as cs
-from clutterstats.models import _log_kve
+from clutterstats.models import _gauss_kronrod, _log_kve
 from clutterstats.specfun import Tolerance, integrate_semi_infinite
 
 from conftest import ALL_MODELS
@@ -119,10 +120,13 @@ class TestExtremeScales:
     @pytest.mark.parametrize(
         "model, x",
         [
-            # x / mu underflows to 0 before its log
+            # x / mu underflows to 0, and with it the Bessel argument
             (cs.KAmplitude(alpha=2.0, b=1.0, mu=1e300), 1e-300),
-            # L * M / mu underflows to 0 before its log
+            # L * M * x / mu underflows to 0: the Bessel argument
             (cs.GammaGamma(L=1e-300, M=1e-300, mu=1.0), 1e-300),
+            # shapes beyond the double range: the log-gamma terms are
+            # inf - inf, a quiet nan that pdf reports, not a numpy warning
+            (cs.Fisher(L=1e308, M=1e308, mu=1.0), 1.0),
         ],
     )
     def test_underflowed_log_is_typed(self, model, x):
@@ -131,12 +135,44 @@ class TestExtremeScales:
         assert repr(model) in str(info.value)
         assert repr(x) in str(info.value)
 
-    def test_fisher_overflowed_ratio_is_quiet(self):
-        # lam = L x / (M mu) overflows, and its two log terms are inf - inf:
-        # a quiet nan that pdf reports, not a numpy warning
-        model = cs.Fisher(L=1e5, M=1e-300, mu=1e-5)
-        with pytest.raises(cs.NumericOverflowError, match="Fisher.*x=1.0"):
-            cs.pdf(model, 1.0)
+    @pytest.mark.parametrize(
+        "model, x, rel",
+        [
+            # L / mu underflows to 0
+            (cs.Gamma(L=1e-300, mu=1e300), 1.0, 1e-13),
+            # mu * mu overflows
+            (cs.Nakagami(L=1e-300, mu=1e200), 1.0, 1e-13),
+            # mu * mu is subnormal
+            (cs.Nakagami(L=3.0, mu=1e-160), 2e-160, 1e-12),
+            # L / (M mu) and lam = L x / (M mu) overflow (betaln(L, M) is
+            # good to 1e-14 of its 690 here)
+            (cs.Fisher(L=1e5, M=1e-300, mu=1e-5), 1.0, 1e-10),
+            # M is 1e20 times L: ln B(L, M) as log-gammas rounds to 0
+            (cs.Fisher(L=3.0, M=1e20, mu=1.0), 1.0, 1e-13),
+        ],
+    )
+    def test_representable_density_matches_mpmath(self, model, x, rel):
+        # the log of a ratio beyond the double range is taken as a difference
+        # of logs
+        with mpmath.workdps(30):
+            p = {k: mpmath.mpf(v) for k, v in dataclasses.asdict(model).items()}
+            x_ = mpmath.mpf(x)
+            if isinstance(model, cs.Gamma):
+                L, mu = p["L"], p["mu"]
+                log_f = L * mpmath.log(L / mu) + (L - 1) * mpmath.log(x_) - L * x_ / mu
+                log_f -= mpmath.loggamma(L)
+            elif isinstance(model, cs.Nakagami):
+                L, mu = p["L"], p["mu"]
+                log_f = mpmath.log(2) + L * mpmath.log(L / mu**2) - mpmath.loggamma(L)
+                log_f += (2 * L - 1) * mpmath.log(x_) - L * x_**2 / mu**2
+            else:
+                L, M, mu = p["L"], p["M"], p["mu"]
+                lam = L * x_ / (M * mu)
+                log_f = -mpmath.log(mpmath.beta(L, M))
+                log_f += mpmath.log(L / (M * mu)) + (L - 1) * mpmath.log(lam)
+                log_f -= (L + M) * mpmath.log1p(lam)
+            reference = float(mpmath.exp(log_f))
+        assert cs.pdf(model, x) == pytest.approx(reference, rel=rel)
 
     @pytest.mark.parametrize("family", sorted(cs.FAMILIES))
     @settings(max_examples=60)
@@ -244,6 +280,123 @@ class TestCompoundConsistency:
     def test_fisher_mixture(self, x):
         model = cs.Fisher(L=2.0, M=3.0, mu=1.3)
         assert self._mixed(model, x) == pytest.approx(cs.pdf(model, x), rel=1e-5)
+
+
+def _mp_wn_pdf(model, x):
+    """The Weibull-Nakagami density to 30 digits: the texture integral in
+    u = ln z, with the peak of its concave log found by bisection and mpmath
+    quadrature split at multiples of the peak width out to where the log has
+    fallen by 120."""
+    with mpmath.workdps(30):
+        c, alpha, b, sigma, x = map(
+            mpmath.mpf, (model.c, model.alpha, model.b, model.sigma, x)
+        )
+        ln_r = mpmath.log(x) - mpmath.log(sigma) / 2
+        A = 2 * alpha - c
+
+        def g(u):
+            return A * u - mpmath.exp(c * (ln_r - u)) - b * mpmath.exp(2 * u)
+
+        def dg(u):
+            return A + c * mpmath.exp(c * (ln_r - u)) - 2 * b * mpmath.exp(2 * u)
+
+        lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
+        while dg(lo) < 0:
+            lo *= 2
+        while dg(hi) > 0:
+            hi *= 2
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if dg(mid) > 0 else (lo, mid)
+        peak = (lo + hi) / 2
+        top = g(peak)
+        width = 1 / mpmath.sqrt(
+            c**2 * mpmath.exp(c * (ln_r - peak)) + 4 * b * mpmath.exp(2 * peak)
+        )
+        points = [peak]
+        for sign in (1, -1):
+            d = width
+            while g(peak + sign * d) - top > -120:
+                points.append(peak + sign * d)
+                d *= 2
+            points.append(peak + sign * d)
+        integral = mpmath.quad(lambda u: mpmath.exp(g(u) - top), sorted(points))
+        log_f = (
+            mpmath.log(2 * c) + alpha * mpmath.log(b) - mpmath.loggamma(alpha)
+            + (c - 1) * ln_r - mpmath.log(sigma) / 2 + top + mpmath.log(integral)
+        )
+        return float(mpmath.exp(log_f))
+
+
+class TestWeibullNakagamiDensity:
+    """The texture integral against 30-digit mpmath quadrature."""
+
+    @pytest.mark.parametrize(
+        "model, x",
+        [
+            # alpha ~ 293: the integrand's peak is 0.03 wide in u = ln z
+            (
+                cs.WeibullNakagami(
+                    c=0.541634884852957,
+                    alpha=292.755606429622,
+                    b=0.39121468159192074,
+                    sigma=0.8350845100766208,
+                ),
+                13.23660244877858,
+            ),
+            (cs.WeibullNakagami(c=2.0, alpha=2.0, b=1.0, sigma=3.0), 1.0),
+            # 2 alpha < c: the other analytic bracket of the peak
+            (cs.WeibullNakagami(c=3.0, alpha=0.7, b=1.0, sigma=2.0), 0.1),
+            (cs.WeibullNakagami(c=0.9, alpha=2.5, b=2.0, sigma=0.5), 1e-6),
+            (
+                cs.WeibullNakagami(
+                    c=12.042957759140744,
+                    alpha=394.517232647056,
+                    b=2.664622457781559e-06,
+                    sigma=5.373052449934888e-06,
+                ),
+                36.20320262262539,
+            ),
+            # far right tail, density 3e-52
+            (
+                cs.WeibullNakagami(
+                    c=0.15523990008959668,
+                    alpha=604.8224256459072,
+                    b=0.00011992377763416615,
+                    sigma=2063.0406997240334,
+                ),
+                2.0521847421210282e17,
+            ),
+        ],
+    )
+    def test_matches_mpmath(self, model, x):
+        assert cs.pdf(model, x) == pytest.approx(_mp_wn_pdf(model, x), rel=1e-10)
+
+    @settings(max_examples=12)
+    @given(
+        c=st.floats(0.3, 20.0),
+        alpha=st.floats(0.5, 300.0),
+        b=st.floats(0.1, 10.0),
+        sigma=st.floats(0.1, 10.0),
+        z=st.floats(-3.0, 3.0),
+    )
+    def test_bulk_matches_mpmath(self, c, alpha, b, sigma, z):
+        # x lies z log-standard-deviations from the log-mean
+        model = cs.WeibullNakagami(c=c, alpha=alpha, b=b, sigma=sigma)
+        k1, k2 = cs.log_cumulants(model, 2).values
+        x = math.exp(k1 + z * math.sqrt(k2))
+        assert cs.pdf(model, x) == pytest.approx(_mp_wn_pdf(model, x), rel=1e-10)
+
+    @pytest.mark.parametrize("degree", range(0, 24, 2))
+    def test_gauss_kronrod_degrees(self, degree):
+        # Kronrod 15 is exact to degree 23, Gauss 7 to degree 13 (odd
+        # degrees integrate to 0 by symmetry under both)
+        value, error = _gauss_kronrod(
+            lambda t: t**degree, np.array([-1.0]), np.array([1.0])
+        )
+        exact = (1 - (-1) ** (degree + 1)) / (degree + 1)
+        assert abs(value[0] - exact) <= 1e-15
+        assert (error[0] <= 1e-15) == (degree <= 13)
 
 
 def _mp_log_kve(nu, w):
