@@ -1,10 +1,15 @@
-"""Special functions and the two numerical oracles everything else is checked
-against: adaptive quadrature on (0, inf) and central-difference differentiation.
+"""Special functions, ln K_nu with the Bessel-type integral and Gauss-Kronrod
+rule behind the compound densities, and the two numerical oracles everything
+else is checked against: adaptive quadrature on (0, inf) and central-difference
+differentiation.
 
-The special functions are thin validated wrappers over scipy.special, which
-already meets the accuracy the closed forms need.  The oracles are kept
-deliberately independent of any closed-form code path so that transform and
-cumulant formulas can be cross-checked through a separate route.
+The special functions are thin validated wrappers over scipy.special.  Where
+kve overflows, ln K_nu comes from K_nu's integral on the whole line, which has
+the form of the Weibull-Nakagami texture integral,
+Int exp(A u - e^(q (b - u)) - e^(p (u - a))) du with a concave exponent; one
+routine evaluates both.  The oracles are kept deliberately independent of any
+closed-form code path so that transform and cumulant formulas can be
+cross-checked through a separate route.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 import scipy.integrate
 import scipy.special
 
@@ -117,6 +123,228 @@ def bessel_k(nu: float, x: float) -> float:
     if math.isnan(value):
         raise ParameterError(f"K_nu undefined for nu={nu!r}, x={x!r}")
     return value
+
+
+_LOG_MAX = 709.0  # exp() overflows above about this
+_LN2 = math.log(2.0)
+
+
+def _log_kve(nu: float, log_w: float) -> float:
+    """ln(K_nu(w) e^w) for w = e^log_w, the log of the scaled Bessel K.
+
+    Where kve overflows (large order, or w below the normal doubles), ln K_nu
+    comes from DLMF 10.32.9 on the whole line, in t = u + ln 2 so that the
+    larger term takes ln w unrounded (the rounding of ln(w/2), times about
+    sqrt(nu^2 + w^2), would move the result):
+    2 K_nu(w) = 2^nu Int exp(nu u - e^(ln(w/4) - u) - e^(u + ln w)) du.
+    """
+    w = math.exp(log_w)
+    value = float(scipy.special.kve(nu, w))
+    if math.isfinite(value) and value > 0.0:
+        return math.log(value)
+    nu = abs(nu)
+    if not (math.isfinite(log_w) and nu < 1e13):
+        # (beyond order 1e13 the densities' log terms round by over 1e-3)
+        raise NumericOverflowError(
+            f"Bessel factor not representable (nu={nu:g}, ln w={log_w:g})"
+        )
+    if nu == 0.0 and log_w < -700.0:
+        # kve overflows at order 0 where w is below the normal doubles; there
+        # K_0(w) = -ln(w/2) - gamma to rounding, and the integrand would have
+        # no curvature at its peak
+        return math.log(_LN2 - log_w - np.euler_gamma) + w
+    # the integrand's terms, about sqrt(nu) in size near its peak, round to
+    # about eps sqrt(nu), and the integral is no more accurate than that
+    tol = Tolerance(abs_tol=1e-300, rel_tol=max(1e-13, 1e-14 * math.sqrt(nu)))
+    log_integral = _log_peak_integral(nu, 1.0, log_w - 2 * _LN2, 1.0, -log_w, tol)
+    return (nu - 1.0) * _LN2 + log_integral + w
+
+
+_PEAK_DROP = 60.0  # the integral's range ends where its exponent falls this far
+_PEAK_MAX_STEPS = 100  # Newton and bisection steps to the peak
+
+
+def _log_peak_integral(
+    A: float, q: float, b: float, p: float, a: float, tol: Tolerance
+) -> float:
+    """ln Int exp(g(u)) du over the whole line, to tol relative to the
+    integral of exp(g - g(peak)), for g(u) = A u - e^(q (b - u)) - e^(p (u - a))
+    with q, p > 0.  g'' < 0, so g has one peak, where g' = A + B - C = 0 with
+    B = q e^(q (b - u)) falling and C = p e^(p (u - a)) rising.
+
+    For A > 0, g' >= 0 at m, the larger of the points where B = C and C = A,
+    and g' <= 0 at m + ln(2)/p, where C has doubled; for A <= 0, g' <= 0 at
+    m, the smaller of the points where B = C and B = -A, and g' >= 0 at
+    m - ln(2)/q.  Newton steps on g', bisected back into that bracket, find
+    the peak (at most 100, else NonConvergenceError).  A walk in doubling
+    steps goes out each way until g has fallen 60 below the peak (by
+    concavity the mass beyond is below e^-60 of the whole), two Gauss-Kronrod
+    panels a step, at most max_subdivisions/4 steps a side, else
+    NonConvergenceError; a term is not taken past the point where its exp
+    would overflow, and if g has not fallen there, NumericOverflowError.
+    """
+    m = (math.log(q) - math.log(p) + q * b + p * a) / (p + q)  # B = C
+    if A > 0.0:
+        lo = max(m, a + (math.log(A) - math.log(p)) / p)  # C = A
+        hi = lo + _LN2 / p
+    else:
+        if A < 0.0:
+            m = min(m, b - (math.log(-A) - math.log(q)) / q)  # B = -A
+        lo, hi = m - _LN2 / q, m
+    u = 0.5 * (lo + hi)
+    previous = math.inf
+    for _ in range(_PEAK_MAX_STEPS):
+        t1, t2 = q * (b - u), p * (u - a)
+        e1, e2 = math.exp(t1), math.exp(t2)
+        curvature = q * q * e1 + p * p * e2  # -g''(u)
+        step = (A + q * e1 - p * e2) / curvature
+        # a step of 1e-9 peak widths leaves the peak about 1e-18 widths out,
+        # and Newton steps this short shrink quadratically until the rounding
+        # of g' stops them, which a step that does not halve shows
+        size = abs(step) * math.sqrt(curvature)
+        if size <= 1e-9 or (size <= 1e-3 and abs(step) > 0.5 * previous):
+            break
+        previous = abs(step)
+        if step > 0.0:
+            lo = u
+        else:
+            hi = u
+        u, last = (u + step if lo < u + step < hi else 0.5 * (lo + hi)), u
+        if u == last:
+            break  # the bracket has shrunk to adjacent doubles
+    else:
+        raise NonConvergenceError(f"integrand peak not found ({A=:g}, {b=:g}, {a=:g})")
+    u += step
+    # move u by at most an ulp so that the larger term's exponent is exact:
+    # its rounding, times the term, would move the result
+    u = a + (u - a) if A > 0.0 else b - (b - u)
+    t1, t2 = q * (b - u), p * (u - a)
+    e1, e2 = math.exp(t1), math.exp(t2)
+    g_peak = A * u - e1 - e2
+    slope = A + q * e1 - p * e2  # g'(u), which over a long flat range matters
+    width = 1.0 / math.sqrt(q * q * e1 + p * p * e2)
+
+    def term(t, e, y, exp, expm1):
+        # e^t (e^y - 1 - y), the change of a term e^t whose exponent moves by
+        # y, less its slope: as e^t (expm1(y) - y) for e^t >= 1, so that no
+        # large terms cancel;
+        # else as e^(t + y) - e^t (1 + y), which holds where e^t underflows
+        if t < 0.0:
+            return exp(t + y) - e * (1.0 + y)
+        return e * (expm1(y) - y)
+
+    def drop(d, exp=math.exp, expm1=math.expm1):
+        """g(u + d) - g(u), the terms' slopes at u summed in slope."""
+        y1, y2 = -q * d, p * d
+        return slope * d - term(t1, e1, y1, exp, expm1) - term(t2, e2, y2, exp, expm1)
+
+    edges = [0.0]
+    for sign, t, rate in ((1.0, t2, p), (-1.0, t1, q)):
+        # g bends on the scale 1/rate, which where the terms are small is far
+        # below the width: the first step is no longer, and past the bend,
+        # where the rising term reaches 1, the doubling restarts
+        cap, bend = (_LOG_MAX - t) / rate, -t / rate
+        near, origin, step = 0.0, 0.0, min(width, 1.0 / rate)
+        for _ in range(tol.max_subdivisions // 4):
+            d = min(origin + step, cap)
+            if near < bend < d:
+                d, origin, step = bend, bend, 0.5 / rate
+            edges += (0.5 * sign * (near + d), sign * d)
+            if drop(sign * d) <= -_PEAK_DROP:
+                break
+            if d == cap:
+                raise NumericOverflowError("integrand not representable")
+            near, step = d, 2.0 * step
+        else:
+            raise NonConvergenceError(
+                f"integrand spans over {tol.max_subdivisions // 4} doublings "
+                f"of its peak width"
+            )
+    edges.sort()
+    # an overflow raises FloatingPointError, not a numpy warning
+    with np.errstate(over="raise", invalid="raise"):
+        integral = _panel_quadrature(
+            lambda d: np.exp(drop(d, np.exp, np.expm1)), edges, tol
+        )
+    return g_peak + math.log(integral)
+
+
+# Gauss-Kronrod 7-15 rule on [-1, 1] (QUADPACK's qk15; Piessens et al. 1983):
+# the Kronrod nodes in (0, 1), the Kronrod weights from the outermost node to
+# 0, and the Gauss weights of every second of those nodes.
+_GK_HALF_NODES = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_GK_HALF_WEIGHTS = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_G_HALF_WEIGHTS = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+_GK_NODES = np.array(
+    [-x for x in _GK_HALF_NODES] + [0.0] + list(reversed(_GK_HALF_NODES))
+)
+_GK_WEIGHTS = np.array(_GK_HALF_WEIGHTS + _GK_HALF_WEIGHTS[-2::-1])
+_G_WEIGHTS = np.array(_G_HALF_WEIGHTS + _G_HALF_WEIGHTS[-2::-1])
+
+
+def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray):
+    """Kronrod estimates of the integrals of f over the panels [lo, hi] and
+    their errors, |Kronrod - Gauss|, all panels in one evaluation of f."""
+    half = 0.5 * (hi - lo)
+    values = f((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES)
+    kronrod = half * (values @ _GK_WEIGHTS)
+    gauss = half * (values[:, 1::2] @ _G_WEIGHTS)
+    return kronrod, np.abs(kronrod - gauss)
+
+
+def _panel_quadrature(f, edges, tol: Tolerance) -> float:
+    """Integral of the vectorised f >= 0 over [edges[0], edges[-1]] to
+    max(abs_tol, rel_tol * result), from Gauss-Kronrod panels between the
+    sorted edges.  Each round bisects the panels whose error exceeds their
+    share of the budget (in proportion to width; the worst panel always),
+    until the errors fit the budget or the panels number max_subdivisions.
+    """
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    span = edges[-1] - edges[0]
+    values, errors = _gauss_kronrod(f, lo, hi)
+    while True:
+        total = float(values.sum())
+        budget = max(tol.abs_tol, tol.rel_tol * total)
+        if float(errors.sum()) <= budget:
+            return total
+        split = errors > budget * (hi - lo) / span
+        split[np.argmax(errors)] = True
+        if lo.size + np.count_nonzero(split) > tol.max_subdivisions:
+            raise NonConvergenceError(
+                f"quadrature error {float(errors.sum()):.3g} above {budget:.3g} "
+                f"after {lo.size} panels"
+            )
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        new_values, new_errors = _gauss_kronrod(f, new_lo, new_hi)
+        keep = ~split
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        values = np.concatenate((values[keep], new_values))
+        errors = np.concatenate((errors[keep], new_errors))
 
 
 def integrate_semi_infinite(

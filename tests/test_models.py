@@ -11,8 +11,12 @@ from hypothesis import strategies as st
 from scipy.special import kve
 
 import clutterstats as cs
-from clutterstats.models import _gauss_kronrod, _log_kve
-from clutterstats.specfun import Tolerance, integrate_semi_infinite
+from clutterstats.specfun import (
+    Tolerance,
+    _gauss_kronrod,
+    _log_kve,
+    integrate_semi_infinite,
+)
 
 from conftest import ALL_MODELS
 
@@ -120,10 +124,6 @@ class TestExtremeScales:
     @pytest.mark.parametrize(
         "model, x",
         [
-            # x / mu underflows to 0, and with it the Bessel argument
-            (cs.KAmplitude(alpha=2.0, b=1.0, mu=1e300), 1e-300),
-            # L * M * x / mu underflows to 0: the Bessel argument
-            (cs.GammaGamma(L=1e-300, M=1e-300, mu=1.0), 1e-300),
             # shapes beyond the double range: the log-gamma terms are
             # inf - inf, a quiet nan that pdf reports, not a numpy warning
             (cs.Fisher(L=1e308, M=1e308, mu=1.0), 1.0),
@@ -149,6 +149,11 @@ class TestExtremeScales:
             (cs.Fisher(L=1e5, M=1e-300, mu=1e-5), 1.0, 1e-10),
             # M is 1e20 times L: ln B(L, M) as log-gammas rounds to 0
             (cs.Fisher(L=3.0, M=1e20, mu=1.0), 1.0, 1e-13),
+            # x / mu underflows to 0, and with it the Bessel argument; the
+            # density is 2e-900, so 0
+            (cs.KAmplitude(alpha=2.0, b=1.0, mu=1e300), 1e-300, 1e-13),
+            # L * M * x / mu underflows to 0: the Bessel argument, of order 0
+            (cs.GammaGamma(L=1e-300, M=1e-300, mu=1.0), 1e-300, 1e-13),
         ],
     )
     def test_representable_density_matches_mpmath(self, model, x, rel):
@@ -165,6 +170,20 @@ class TestExtremeScales:
                 L, mu = p["L"], p["mu"]
                 log_f = mpmath.log(2) + L * mpmath.log(L / mu**2) - mpmath.loggamma(L)
                 log_f += (2 * L - 1) * mpmath.log(x_) - L * x_**2 / mu**2
+            elif isinstance(model, cs.KAmplitude):
+                alpha, b, mu = p["alpha"], p["b"], p["mu"]
+                r = x_ / mu
+                log_f = mpmath.log(4) + (alpha + 1) / 2 * mpmath.log(b)
+                log_f += alpha * mpmath.log(r) - mpmath.loggamma(alpha)
+                log_f += mpmath.log(mpmath.besselk(alpha - 1, 2 * r * mpmath.sqrt(b)))
+                log_f -= mpmath.log(mu)
+            elif isinstance(model, cs.GammaGamma):
+                L, M, mu = p["L"], p["M"], p["mu"]
+                log_f = mpmath.log(2) + (L + M) / 2 * mpmath.log(L * M / mu)
+                log_f += ((L + M) / 2 - 1) * mpmath.log(x_)
+                w = 2 * mpmath.sqrt(L * M * x_ / mu)
+                log_f += mpmath.log(mpmath.besselk(M - L, w))
+                log_f -= mpmath.loggamma(L) + mpmath.loggamma(M)
             else:
                 L, M, mu = p["L"], p["M"], p["mu"]
                 lam = L * x_ / (M * mu)
@@ -172,7 +191,9 @@ class TestExtremeScales:
                 log_f += mpmath.log(L / (M * mu)) + (L - 1) * mpmath.log(lam)
                 log_f -= (L + M) * mpmath.log1p(lam)
             reference = float(mpmath.exp(log_f))
-        assert cs.pdf(model, x) == pytest.approx(reference, rel=rel)
+        # abs=0: approx's default absolute tolerance of 1e-12 would accept
+        # any of these tiny densities
+        assert cs.pdf(model, x) == pytest.approx(reference, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("family", sorted(cs.FAMILIES))
     @settings(max_examples=60)
@@ -399,31 +420,51 @@ class TestWeibullNakagamiDensity:
         assert (error[0] <= 1e-15) == (degree <= 13)
 
 
-def _mp_log_kve(nu, w):
+def _mp_log_kve(nu, log_w):
+    """ln(K_nu(w) e^w) from a 30-digit mpmath quadrature of DLMF 10.32.9,
+    K_nu(w) = Int_0^inf exp(-w cosh t) cosh(nu t) dt, split at the peak and
+    where (w/2) e^t passes 1.  mpmath's besselk takes its large-argument
+    series once w > 1, which fails for orders near w: it gives -4.9e688 for
+    K_2981(2981)."""
     with mpmath.workdps(30):
-        return float(mpmath.log(mpmath.besselk(nu, w)) + w)
+        nu, w = mpmath.mpf(nu), mpmath.exp(log_w)
+
+        def log_f(t):
+            return -w * (mpmath.cosh(t) - 1) + mpmath.log(mpmath.cosh(nu * t))
+
+        peak = mpmath.asinh(nu / w)
+        width = (nu**2 + w**2) ** -0.25
+        # (w/2) e^t is about 3000 max(nu, 1) here: the integrand has died
+        end = mpmath.asinh(max(nu, 1) / w) + 8
+        points = {0, peak, peak - 30 * width, peak + 30 * width, mpmath.asinh(1 / w)}
+        points = sorted(t for t in points if 0 <= t < end) + [end]
+        top = log_f(peak)
+        integral = mpmath.quad(lambda t: mpmath.exp(log_f(t) - top), points)
+        return float(top + mpmath.log(integral))
 
 
 class TestBesselOverflow:
     """Where scipy's kve overflows, ln K_nu comes from its integral form."""
 
     @settings(max_examples=40)
-    @given(log_nu=st.floats(math.log(2.0), math.log(1e4)), t=st.floats(0.0, 1.0))
-    def test_log_kve_matches_mpmath(self, log_nu, t):
-        nu = math.exp(log_nu)
-        w = math.exp(-300.0 + t * (log_nu + 300.0))  # 1e-130 .. nu
-        assume(math.isinf(kve(nu, w)))
-        reference = _mp_log_kve(nu, w)
-        assert abs(_log_kve(nu, w) - reference) <= 2e-15 * max(1.0, abs(reference))
+    @given(s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0))
+    def test_log_kve_matches_mpmath(self, s, t):
+        # nu = 0, else from 1e-12 to 1e4 on a log scale; ln w from -1400,
+        # where w underflows to 0, up to ln(max(nu, 1))
+        nu = 0.0 if s == 0.0 else 1e-12 * 1e16**s
+        log_w = -1400.0 + t * (math.log(max(nu, 1.0)) + 1400.0)
+        assume(math.isinf(kve(nu, math.exp(log_w))))
+        reference = _mp_log_kve(nu, log_w)
+        assert abs(_log_kve(nu, log_w) - reference) <= 2e-15 * max(1.0, abs(reference))
 
     def test_finite_kve_path_unchanged(self):
-        assert _log_kve(2.5, 3.0) == math.log(kve(2.5, 3.0))
+        assert _log_kve(2.5, 1.1) == math.log(kve(2.5, math.exp(1.1)))
 
-    @pytest.mark.parametrize("nu, w", [(3.0, 0.0), (1e200, 1e-100)])
-    def test_out_of_range_raises_overflow(self, nu, w):
-        # an argument that underflowed to 0, and orders beyond 1e13
+    @pytest.mark.parametrize("nu, log_w", [(3.0, -math.inf), (1e200, -230.0)])
+    def test_out_of_range_raises_overflow(self, nu, log_w):
+        # an argument of exactly 0 (K_3(0) is infinite), and orders beyond 1e13
         with pytest.raises(cs.NumericOverflowError):
-            _log_kve(nu, w)
+            _log_kve(nu, log_w)
 
     def test_gamma_gamma_far_apart_shapes(self):
         model = cs.GammaGamma(
