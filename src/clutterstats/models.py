@@ -462,18 +462,18 @@ def _(model: WeibullNakagami, x: float) -> float:
     c, alpha, ln_b = model.c, model.alpha, math.log(model.b)
     ln_root_sigma = 0.5 * math.log(model.sigma)
     ln_r = math.log(x) - ln_root_sigma
-    # the texture integrand, in u = ln z:
-    # exp((2 alpha - c) u - e^(c (ln r - u)) - e^(2 (u + ln(b)/2)))
-    log_texture = _log_peak_integral(
-        2.0 * alpha - c, c, ln_r, 2.0, -0.5 * ln_b, _WN_INNER_TOL
-    )
-    log_f = (
+    log_pref = (
         math.log(2.0 * c)
         + alpha * ln_b
         - float(gammaln(alpha))
         + (c - 1.0) * ln_r
         - ln_root_sigma
-        + log_texture
+    )
+    # the texture integrand, in u = ln z:
+    # exp((2 alpha - c) u - e^(c (ln r - u)) - e^(2 (u + ln(b)/2)));
+    # where it and the prefactor are too small to reach e^-745, it is not summed
+    log_f = _log_peak_integral(
+        2.0 * alpha - c, c, ln_r, 2.0, -0.5 * ln_b, _WN_INNER_TOL, log_pref, _LOG_EPS
     )
     return _exp_or_zero(log_f)
 

@@ -4,17 +4,19 @@ else is checked against: adaptive quadrature on (0, inf) and central-difference
 differentiation.
 
 The special functions are thin validated wrappers over scipy.special.  Where
-kve overflows, ln K_nu comes from K_nu's integral on the whole line, which has
-the form of the Weibull-Nakagami texture integral,
-Int exp(A u - e^(q (b - u)) - e^(p (u - a))) du with a concave exponent; one
-routine evaluates both.  The oracles are kept deliberately independent of any
-closed-form code path so that transform and cumulant formulas can be
-cross-checked through a separate route.
+kve fails, ln K_nu comes from closed forms for arguments below the normal
+doubles and for sqrt(nu^2 + w^2) >= 2^30, and otherwise from K_nu's integral
+on the whole line, which has the form of the Weibull-Nakagami texture
+integral, Int exp(A u - e^(q (b - u)) - e^(p (u - a))) du with a concave
+exponent; one routine evaluates both.  The oracles are kept deliberately
+independent of any closed-form code path so that transform and cumulant
+formulas can be cross-checked through a separate route.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -127,16 +129,26 @@ def bessel_k(nu: float, x: float) -> float:
 
 _LOG_MAX = 709.0  # exp() overflows above about this
 _LN2 = math.log(2.0)
+_LOG_TINY = math.log(sys.float_info.min)  # below this w is not a normal double
+_KVE_MAX = 2.0**30  # kve returns nan once w or nu passes this (AMOS's limit)
+_ZETA3, _ZETA5 = 1.2020569031595942, 1.03692775514337  # zeta(3), zeta(5)
 
 
 def _log_kve(nu: float, log_w: float) -> float:
     """ln(K_nu(w) e^w) for w = e^log_w, the log of the scaled Bessel K.
 
-    Where kve overflows (large order, or w below the normal doubles), ln K_nu
-    comes from DLMF 10.32.9 on the whole line, in t = u + ln 2 so that the
-    larger term takes ln w unrounded (the rounding of ln(w/2), times about
-    sqrt(nu^2 + w^2), would move the result):
-    2 K_nu(w) = 2^nu Int exp(nu u - e^(ln(w/4) - u) - e^(u + ln w)) du.
+    Where kve fails, one of three forms takes over, each accurate to rounding
+    in its range:
+    - w below the normal doubles, where (w/2)^2 is lost beside 1: with
+      L = ln(2/w), 2 nu K_nu(w) = Gamma(1 + nu) e^(nu L) - Gamma(1 - nu)
+      e^(-nu L) for nu < 1, of which the first term alone from nu = 1/2 on;
+    - R = sqrt(nu^2 + w^2) >= 2^30: Debye's expansion (DLMF 10.41.4) to its
+      U_1 term, written in R so that it holds as nu -> 0; the next term is
+      below R^-2 / 10;
+    - else (kve overflows, at orders above 1): DLMF 10.32.9 on the whole line,
+      in t = u + ln 2 so that the larger term takes ln w unrounded (the
+      rounding of ln(w/2), times about R, would move the result):
+      2 K_nu(w) = 2^nu Int exp(nu u - e^(ln(w/4) - u) - e^(u + ln w)) du.
     """
     w = math.exp(log_w)
     value = float(scipy.special.kve(nu, w))
@@ -148,16 +160,42 @@ def _log_kve(nu: float, log_w: float) -> float:
         raise NumericOverflowError(
             f"Bessel factor not representable (nu={nu:g}, ln w={log_w:g})"
         )
-    if nu == 0.0 and log_w < -700.0:
-        # kve overflows at order 0 where w is below the normal doubles; there
-        # K_0(w) = -ln(w/2) - gamma to rounding, and the integrand would have
-        # no curvature at its peak
-        return math.log(_LN2 - log_w - np.euler_gamma) + w
+    if log_w < _LOG_TINY:
+        L = _LN2 - log_w
+        if nu >= 0.5:
+            return float(scipy.special.gammaln(nu)) + nu * L - _LN2 + w
+        # 2 nu K_nu(w) = Gamma(1 + nu) e^(nu L) (1 - e^(-2 z)) with
+        # z = nu (L + slope), slope = (ln Gamma(1+nu) - ln Gamma(1-nu)) / (2 nu)
+        # = -gamma - zeta(3) nu^2 / 3 - zeta(5) nu^4 / 5 - ... as nu -> 0
+        log_gamma = float(scipy.special.gammaln(1.0 + nu))
+        if nu < 1e-3:
+            v = nu * nu
+            slope = -np.euler_gamma - v * (_ZETA3 / 3.0 + v * _ZETA5 / 5.0)
+        else:
+            slope = 0.5 * (log_gamma - float(scipy.special.gammaln(1.0 - nu))) / nu
+        z = nu * (L + slope)
+        tail = math.log(-math.expm1(-2.0 * z) / (2.0 * z)) if z > 0.0 else 0.0
+        return log_gamma + nu * L + math.log(L + slope) + tail + w
+    r = math.hypot(nu, w)
+    if r >= _KVE_MAX:
+        # the prefactor is sqrt(pi / (2 R)), -nu eta + w is
+        # nu asinh(nu / w) - nu^2 / (w + R), and U_1(p) / nu with p = nu / R
+        # is (3 - 5 p^2) / (24 R)
+        p, ratio = nu / r, nu / w  # (ratio is inf only for w below 1e-295)
+        peak = math.asinh(ratio) if ratio < math.inf else math.log(nu + r) - log_w
+        return (
+            0.5 * math.log(0.5 * math.pi / r)
+            + nu * peak
+            - nu * nu / (w + r)
+            + math.log1p(-(3.0 - 5.0 * p * p) / (24.0 * r))
+        )
     # the integrand's terms, about sqrt(nu) in size near its peak, round to
     # about eps sqrt(nu), and the integral is no more accurate than that
     tol = Tolerance(abs_tol=1e-300, rel_tol=max(1e-13, 1e-14 * math.sqrt(nu)))
-    log_integral = _log_peak_integral(nu, 1.0, log_w - 2 * _LN2, 1.0, -log_w, tol)
-    return (nu - 1.0) * _LN2 + log_integral + w
+    log_integral = _log_peak_integral(
+        nu, 1.0, log_w - 2 * _LN2, 1.0, -log_w, tol, (nu - 1.0) * _LN2, -math.inf
+    )
+    return log_integral + w
 
 
 _PEAK_DROP = 60.0  # the integral's range ends where its exponent falls this far
@@ -165,11 +203,21 @@ _PEAK_MAX_STEPS = 100  # Newton and bisection steps to the peak
 
 
 def _log_peak_integral(
-    A: float, q: float, b: float, p: float, a: float, tol: Tolerance
+    A: float,
+    q: float,
+    b: float,
+    p: float,
+    a: float,
+    tol: Tolerance,
+    log_scale: float,
+    floor: float,
 ) -> float:
-    """ln Int exp(g(u)) du over the whole line, to tol relative to the
-    integral of exp(g - g(peak)), for g(u) = A u - e^(q (b - u)) - e^(p (u - a))
-    with q, p > 0.  g'' < 0, so g has one peak, where g' = A + B - C = 0 with
+    """log_scale + ln Int exp(g(u)) du over the whole line, to tol relative to
+    the integral of exp(g - g(peak)), for
+    g(u) = A u - e^(q (b - u)) - e^(p (u - a)) with q, p > 0; -inf, without
+    quadrature, where log_scale + g(peak) + ln(range width) is below floor
+    (the integrand is at most e^g(peak) on the range).
+    g'' < 0, so g has one peak, where g' = A + B - C = 0 with
     B = q e^(q (b - u)) falling and C = p e^(p (u - a)) rising.
 
     For A > 0, g' >= 0 at m, the larger of the points where B = C and C = A,
@@ -177,9 +225,9 @@ def _log_peak_integral(
     m, the smaller of the points where B = C and B = -A, and g' >= 0 at
     m - ln(2)/q.  Newton steps on g', bisected back into that bracket, find
     the peak (at most 100, else NonConvergenceError).  A walk in doubling
-    steps goes out each way until g has fallen 60 below the peak (by
-    concavity the mass beyond is below e^-60 of the whole), two Gauss-Kronrod
-    panels a step, at most max_subdivisions/4 steps a side, else
+    steps of the peak width goes out each way until g has fallen 60 below the
+    peak (by concavity the mass beyond is below e^-60 of the whole), two
+    Gauss-Kronrod panels a step, at most max_subdivisions/4 steps a side, else
     NonConvergenceError; a term is not taken past the point where its exp
     would overflow, and if g has not fallen there, NumericOverflowError.
     """
@@ -220,53 +268,42 @@ def _log_peak_integral(
     u = a + (u - a) if A > 0.0 else b - (b - u)
     t1, t2 = q * (b - u), p * (u - a)
     e1, e2 = math.exp(t1), math.exp(t2)
-    g_peak = A * u - e1 - e2
-    slope = A + q * e1 - p * e2  # g'(u), which over a long flat range matters
+    top = log_scale + (A * u - e1 - e2)
     width = 1.0 / math.sqrt(q * q * e1 + p * p * e2)
 
-    def term(t, e, y, exp, expm1):
-        # e^t (e^y - 1 - y), the change of a term e^t whose exponent moves by
-        # y, less its slope: as e^t (expm1(y) - y) for e^t >= 1, so that no
-        # large terms cancel;
-        # else as e^(t + y) - e^t (1 + y), which holds where e^t underflows
-        if t < 0.0:
-            return exp(t + y) - e * (1.0 + y)
-        return e * (expm1(y) - y)
-
-    def drop(d, exp=math.exp, expm1=math.expm1):
-        """g(u + d) - g(u), the terms' slopes at u summed in slope."""
+    def drop(d, expm1=math.expm1):
+        """g(u + d) - g(u) = -e1 phi(-q d) - e2 phi(p d), phi(y) = e^y - 1 - y:
+        g'(u) = 0 cancels the terms linear in d, so near the peak no large
+        terms cancel, and both terms are <= 0."""
         y1, y2 = -q * d, p * d
-        return slope * d - term(t1, e1, y1, exp, expm1) - term(t2, e2, y2, exp, expm1)
+        return -e1 * (expm1(y1) - y1) - e2 * (expm1(y2) - y2)
 
     edges = [0.0]
     for sign, t, rate in ((1.0, t2, p), (-1.0, t1, q)):
-        # g bends on the scale 1/rate, which where the terms are small is far
-        # below the width: the first step is no longer, and past the bend,
-        # where the rising term reaches 1, the doubling restarts
-        cap, bend = (_LOG_MAX - t) / rate, -t / rate
-        near, origin, step = 0.0, 0.0, min(width, 1.0 / rate)
+        cap = (_LOG_MAX - max(t, 0.0)) / rate
+        near, d = 0.0, width
         for _ in range(tol.max_subdivisions // 4):
-            d = min(origin + step, cap)
-            if near < bend < d:
-                d, origin, step = bend, bend, 0.5 / rate
+            d = min(d, cap)
             edges += (0.5 * sign * (near + d), sign * d)
             if drop(sign * d) <= -_PEAK_DROP:
                 break
             if d == cap:
                 raise NumericOverflowError("integrand not representable")
-            near, step = d, 2.0 * step
+            near, d = d, 2.0 * d
         else:
             raise NonConvergenceError(
                 f"integrand spans over {tol.max_subdivisions // 4} doublings "
                 f"of its peak width"
             )
     edges.sort()
+    if top + math.log(edges[-1] - edges[0]) < floor:
+        return -math.inf
     # an overflow raises FloatingPointError, not a numpy warning
     with np.errstate(over="raise", invalid="raise"):
         integral = _panel_quadrature(
-            lambda d: np.exp(drop(d, np.exp, np.expm1)), edges, tol
+            lambda d: np.exp(drop(d, np.expm1)), edges, tol
         )
-    return g_peak + math.log(integral)
+    return top + math.log(integral)
 
 
 # Gauss-Kronrod 7-15 rule on [-1, 1] (QUADPACK's qk15; Piessens et al. 1983):

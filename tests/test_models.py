@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import kve
 
@@ -154,6 +155,9 @@ class TestExtremeScales:
             (cs.KAmplitude(alpha=2.0, b=1.0, mu=1e300), 1e-300, 1e-13),
             # L * M * x / mu underflows to 0: the Bessel argument, of order 0
             (cs.GammaGamma(L=1e-300, M=1e-300, mu=1.0), 1e-300, 1e-13),
+            # the Bessel argument is 9e9, where kve returns nan; the density
+            # is e^-9e9, so 0
+            (cs.KAmplitude(alpha=2.0, b=1.0, mu=1e-7), 459.0, 1e-13),
         ],
     )
     def test_representable_density_matches_mpmath(self, model, x, rel):
@@ -408,6 +412,34 @@ class TestWeibullNakagamiDensity:
         x = math.exp(k1 + z * math.sqrt(k2))
         assert cs.pdf(model, x) == pytest.approx(_mp_wn_pdf(model, x), rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "model, x",
+        [
+            (
+                cs.WeibullNakagami(
+                    c=4.383290459938718e111,
+                    alpha=4.998196097650123e-29,
+                    b=1.0771865545976123e223,
+                    sigma=7.879985528704936e-266,
+                ),
+                7.042615158318404e-164,
+            ),
+            (
+                cs.WeibullNakagami(
+                    c=2.6636066291659365e-13,
+                    alpha=4.107431110201945e-126,
+                    b=1.877799134742316e-58,
+                    sigma=8.013412537717858e-213,
+                ),
+                1.5865313975289788e-74,
+            ),
+        ],
+    )
+    def test_negligible_texture_integral_is_zero(self, model, x):
+        # prefactor times integrand times range width is below e^-745, so the
+        # density is 0 without summing the panels, whose terms would overflow
+        assert cs.pdf(model, x) == 0.0
+
     @pytest.mark.parametrize("degree", range(0, 24, 2))
     def test_gauss_kronrod_degrees(self, degree):
         # Kronrod 15 is exact to degree 23, Gauss 7 to degree 13 (odd
@@ -423,14 +455,15 @@ class TestWeibullNakagamiDensity:
 def _mp_log_kve(nu, log_w):
     """ln(K_nu(w) e^w) from a 30-digit mpmath quadrature of DLMF 10.32.9,
     K_nu(w) = Int_0^inf exp(-w cosh t) cosh(nu t) dt, split at the peak and
-    where (w/2) e^t passes 1.  mpmath's besselk takes its large-argument
-    series once w > 1, which fails for orders near w: it gives -4.9e688 for
-    K_2981(2981)."""
+    where (w/2) e^t passes 1, with w (cosh t - 1) as 2 w sinh(t/2)^2, which
+    keeps its digits where w is large and t small.  mpmath's besselk takes
+    its large-argument series once w > 1, which fails for orders near w: it
+    gives -4.9e688 for K_2981(2981)."""
     with mpmath.workdps(30):
         nu, w = mpmath.mpf(nu), mpmath.exp(log_w)
 
         def log_f(t):
-            return -w * (mpmath.cosh(t) - 1) + mpmath.log(mpmath.cosh(nu * t))
+            return -2 * w * mpmath.sinh(t / 2) ** 2 + mpmath.log(mpmath.cosh(nu * t))
 
         peak = mpmath.asinh(nu / w)
         width = (nu**2 + w**2) ** -0.25
@@ -444,16 +477,50 @@ def _mp_log_kve(nu, log_w):
 
 
 class TestBesselOverflow:
-    """Where scipy's kve overflows, ln K_nu comes from its integral form."""
+    """Where scipy's kve fails, ln K_nu comes from an integral form or, for
+    arguments below the normal doubles and where sqrt(nu^2 + w^2) >= 2^30,
+    from closed forms."""
 
     @settings(max_examples=40)
-    @given(s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0))
-    def test_log_kve_matches_mpmath(self, s, t):
-        # nu = 0, else from 1e-12 to 1e4 on a log scale; ln w from -1400,
-        # where w underflows to 0, up to ln(max(nu, 1))
-        nu = 0.0 if s == 0.0 else 1e-12 * 1e16**s
-        log_w = -1400.0 + t * (math.log(max(nu, 1.0)) + 1400.0)
+    @given(log_nu=st.floats(math.log(2.0), math.log(1e4)), t=st.floats(0.0, 1.0))
+    # w = nu at large orders, where the larger term's exponent must be exact
+    @example(log_nu=math.log(1e4), t=1.0)
+    @example(log_nu=math.log(2981.0), t=1.0)
+    def test_log_kve_matches_mpmath(self, log_nu, t):
+        nu = math.exp(log_nu)
+        log_w = -300.0 + t * (log_nu + 300.0)  # w from 1e-130 to nu
         assume(math.isinf(kve(nu, math.exp(log_w))))
+        reference = _mp_log_kve(nu, log_w)
+        assert abs(_log_kve(nu, log_w) - reference) <= 2e-15 * max(1.0, abs(reference))
+
+    @settings(max_examples=30)
+    @given(s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0))
+    def test_underflowed_argument_matches_mpmath(self, s, t):
+        # nu = 0, else from 1e-12 to 1e4 on a log scale; ln w from -1400,
+        # where w underflows to 0, up to where w becomes a normal double
+        nu = 0.0 if s == 0.0 else 1e-12 * 1e16**s
+        log_w = -1400.0 + t * (math.log(sys.float_info.min) + 1400.0)
+        reference = _mp_log_kve(nu, log_w)
+        assert abs(_log_kve(nu, log_w) - reference) <= 2e-15 * max(1.0, abs(reference))
+
+    @pytest.mark.parametrize(
+        "nu, w",
+        [
+            # kve returns nan from w = 2^30 on
+            (0.0, 3e9),
+            (0.3, 3e9),
+            (1.0, 3e9),
+            (50.0, 3e9),
+            (1e6, 3e9),
+            (1.0, 1e20),
+            (1e12, 1e20),
+            # and from nu = 2^30 on
+            (1e10, 1e-5),
+            (1e12, 1e12),
+        ],
+    )
+    def test_large_argument_or_order_matches_mpmath(self, nu, w):
+        log_w = math.log(w)
         reference = _mp_log_kve(nu, log_w)
         assert abs(_log_kve(nu, log_w) - reference) <= 2e-15 * max(1.0, abs(reference))
 
