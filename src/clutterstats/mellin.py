@@ -17,9 +17,10 @@ written out: it is its declared components' tables (models.decompose)
 joined, and its transform factors and its log-cumulants add by construction.
 
 Two numerical routes double-check the closed forms: direct quadrature of
-the transform integral over the density (phi_numeric, which takes only the
-strip from the table) and central-difference derivatives of Psi
-(log_cumulants_numeric, which checks the cumulant sums against Psi itself).
+the transform integral over the log-density (phi_numeric, which takes only
+the strip from the table; its exponent in ln x is concave, see specfun) and
+central-difference derivatives of Psi (log_cumulants_numeric, which checks
+the cumulant sums against Psi itself).
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ from .models import (
     Rayleigh,
     Weibull,
     decompose,
-    pdf,
+    log_pdf,
 )
 from .specfun import (
     DEFAULT_TOLERANCE,
     Tolerance,
+    _log_concave_integral,
     derivative_at,
-    integrate_semi_infinite,
     log_gamma,
     polygamma,
 )
@@ -265,7 +266,10 @@ def phi(model: ClutterModel, s: float) -> float:
         value = math.inf
     if math.isfinite(value) and value > 0.0:
         return value
-    log_value = _psi_closed(powers, gammas, d)
+    return _exp_phi(model, s, _psi_closed(powers, gammas, d))
+
+
+def _exp_phi(model: ClutterModel, s: float, log_value: float) -> float:
     if log_value > 709.0:
         raise NumericOverflowError(
             f"Phi overflow for {type(model).__name__} at s={s:g}"
@@ -276,20 +280,14 @@ def phi(model: ClutterModel, s: float) -> float:
 def phi_numeric(
     model: ClutterModel, s: float, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> float:
-    """Phi(s) by direct quadrature of the transform integral.
-
-    Independent of the closed forms: goes through the density and the
-    semi-infinite quadrature oracle only.
-    """
+    """Phi(s) by quadrature of the transform integral in u = ln x,
+    Int exp(s u + ln f(e^u)) du: independent of the closed forms, it goes
+    through the log-density and specfun's whole-line quadrature only."""
     s = _check_strip(model, factor_table(model)[1], s)
-
-    def integrand(x: float) -> float:
-        density = pdf(model, x)
-        if density == 0.0:
-            return 0.0
-        return math.exp((s - 1.0) * math.log(x)) * density
-
-    return integrate_semi_infinite(integrand, tol)
+    log_value = _log_concave_integral(
+        lambda u: s * u + log_pdf(model, math.exp(u)), tol
+    )
+    return _exp_phi(model, s, log_value)
 
 
 def classical_moment(model: ClutterModel, n: int) -> float:

@@ -18,9 +18,10 @@ table and sampler are derived from them.  The densities do not use the
 declaration, so the Mellin convolution of the components' densities checks
 it against the compound's (verify).
 
-The densities are written out as logs.  This module holds no quadrature:
-the Bessel factor's ln K_nu (from ln w, so that w may underflow) and the
-Weibull-Nakagami texture integral both come from specfun.
+The densities are written out as logs (log_pdf; pdf is its exponential).
+Each family is a product of independent gamma powers, so ln X has a
+log-concave density, which the oracles rely on (see specfun); ln K_nu (from
+ln w) and the Weibull-Nakagami texture integral come from specfun.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ __all__ = [
     "ClutterModel",
     "Decomposition",
     "FAMILIES",
-    "validate",
+    "log_pdf",
     "pdf",
     "decompose",
     "model_to_dict",
@@ -286,31 +287,12 @@ class Decomposition:
     texture: ClutterModel
 
 
-def validate(model: ClutterModel) -> ClutterModel:
-    """Return the model unchanged if it is a clutter model.
-
-    A model's parameters are checked when it is built, so any ClutterModel
-    is valid; only values of other types are rejected here.
-    """
-    if not isinstance(model, ClutterModel):
-        raise ParameterError(f"not a clutter model: {model!r}")
-    return model
-
-
 # Inner quadrature budget for the Weibull-Nakagami density; tighter than the
 # callers' budgets so nested integrals (normalization, transforms) still meet
 # their own tolerances.
 _WN_INNER_TOL = Tolerance(abs_tol=1e-14, rel_tol=1e-10, max_subdivisions=200)
 _LOG_EPS = -745.0  # exp() underflows to zero below this
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
-
-
-def _exp_or_zero(log_value: float) -> float:
-    if log_value < _LOG_EPS:
-        return 0.0
-    if log_value > _LOG_MAX:
-        raise NumericOverflowError("density overflow")
-    return math.exp(log_value)
 
 
 def _quotient(
@@ -332,12 +314,11 @@ def _quotient(
     return (math.exp(log_q) if log_q < _LOG_MAX else math.inf), log_q
 
 
-def pdf(model: ClutterModel, x: float) -> float:
-    """Probability density of the model at x > 0.
-
-    Raises NumericOverflowError, naming the model and x, where the density
-    cannot be evaluated in doubles (for example when x / scale underflows).
-    """
+def log_pdf(model: ClutterModel, x: float) -> float:
+    """ln of the density of the model at x > 0: -inf where it carries e^-w
+    with w beyond the doubles, and for Weibull-Nakagami below e^-745.  Raises
+    NumericOverflowError, naming the model and x, where it is not
+    representable (for example when x / scale underflows)."""
     x = float(x)
     if math.isnan(x) or x <= 0:
         raise ParameterError(f"x must be > 0, got {x!r}")
@@ -353,58 +334,63 @@ def pdf(model: ClutterModel, x: float) -> float:
         raise NumericOverflowError(
             f"pdf of {model!r} at x={x!r} is not representable: {exc}"
         ) from exc
-    if math.isnan(value) or math.isinf(value):
-        raise NumericOverflowError(
-            f"pdf overflow for {model!r} at x={x!r}"
-        )
+    if math.isnan(value) or value == math.inf:
+        raise NumericOverflowError(f"pdf overflow for {model!r} at x={x!r}")
     return value
+
+
+def pdf(model: ClutterModel, x: float) -> float:
+    """Probability density of the model at x > 0, e^log_pdf(model, x): 0.0
+    below e^-745, NumericOverflowError where log_pdf raises or it overflows."""
+    log_f = log_pdf(model, x)
+    if log_f > _LOG_MAX:
+        raise NumericOverflowError(f"pdf overflow for {model!r} at x={x!r}")
+    return 0.0 if log_f < _LOG_EPS else math.exp(log_f)
 
 
 @singledispatch
 def _pdf(model, x: float) -> float:
+    """ln f(x), the model's log-density at x (checked by log_pdf)."""
     raise ParameterError(f"not a clutter model: {model!r}")
 
 
 @_pdf.register
 def _(model: Exponential, x: float) -> float:
-    return _exp_or_zero(-x / model.mu - math.log(model.mu))
+    return -x / model.mu - math.log(model.mu)
 
 
 @_pdf.register
 def _(model: Gamma, x: float) -> float:
     L, mu = model.L, model.mu
-    log_f = (
+    return (
         L * _quotient((L,), (mu,))[1]
         + (L - 1.0) * math.log(x)
         - _quotient((L, x), (mu,))[0]
         - gammaln(L)
     )
-    return _exp_or_zero(log_f)
 
 
 @_pdf.register
 def _(model: Nakagami, x: float) -> float:
     L, mu = model.L, model.mu
-    log_f = (
+    return (
         math.log(2.0)
         + L * _quotient((L,), (mu, mu))[1]
         + (2.0 * L - 1.0) * math.log(x)
         - _quotient((L, x, x), (mu, mu))[0]
         - gammaln(L)
     )
-    return _exp_or_zero(log_f)
 
 
 @_pdf.register
 def _(model: Maxwell, x: float) -> float:
     s = model.sigma
-    log_f = (
+    return (
         0.5 * math.log(2.0 / math.pi)
         - 3.0 * math.log(s)
         + 2.0 * math.log(x)
         - x * x / (2.0 * s * s)
     )
-    return _exp_or_zero(log_f)
 
 
 @_pdf.register
@@ -413,9 +399,8 @@ def _(model: Weibull, x: float) -> float:
     log_ratio = math.log(x / z)
     t = b * log_ratio
     if t > _LOG_MAX:
-        return 0.0
-    log_f = math.log(b / z) + (b - 1.0) * log_ratio - math.exp(t)
-    return _exp_or_zero(log_f)
+        return -math.inf
+    return math.log(b / z) + (b - 1.0) * log_ratio - math.exp(t)
 
 
 @_pdf.register
@@ -428,7 +413,9 @@ def _(model: GammaGamma, x: float) -> float:
     L, M, mu = model.L, model.M, model.mu
     half_sum = 0.5 * (L + M)
     log_w = _LN2 + 0.5 * _quotient((L, M, x), (mu,))[1]  # w = 2 sqrt(L M x / mu)
-    log_f = (
+    if log_w > _LOG_MAX:
+        return -math.inf  # the density carries e^-w
+    return (
         math.log(2.0)
         - gammaln(L)
         - gammaln(M)
@@ -437,7 +424,6 @@ def _(model: GammaGamma, x: float) -> float:
         + _log_kve(M - L, log_w)
         - math.exp(log_w)
     )
-    return _exp_or_zero(log_f)
 
 
 @_pdf.register
@@ -445,7 +431,9 @@ def _(model: KAmplitude, x: float) -> float:
     alpha, b, mu = model.alpha, model.b, model.mu
     log_r = _quotient((x,), (mu,))[1]
     log_w = _LN2 + log_r + 0.5 * math.log(b)  # w = 2 (x / mu) sqrt(b)
-    log_f = (
+    if log_w > _LOG_MAX:
+        return -math.inf  # the density carries e^-w
+    return (
         math.log(4.0)
         + 0.5 * (alpha + 1.0) * math.log(b)
         + alpha * log_r
@@ -454,7 +442,6 @@ def _(model: KAmplitude, x: float) -> float:
         - math.exp(log_w)
         - math.log(mu)
     )
-    return _exp_or_zero(log_f)
 
 
 @_pdf.register
@@ -472,10 +459,9 @@ def _(model: WeibullNakagami, x: float) -> float:
     # the texture integrand, in u = ln z:
     # exp((2 alpha - c) u - e^(c (ln r - u)) - e^(2 (u + ln(b)/2)));
     # where it and the prefactor are too small to reach e^-745, it is not summed
-    log_f = _log_peak_integral(
+    return _log_peak_integral(
         2.0 * alpha - c, c, ln_r, 2.0, -0.5 * ln_b, _WN_INNER_TOL, log_pref, _LOG_EPS
     )
-    return _exp_or_zero(log_f)
 
 
 @_pdf.register
@@ -491,16 +477,14 @@ def _(model: Fisher, x: float) -> float:
     # ln B(L, M) by betaln: as a sum of log-gammas it loses everything to
     # rounding once the shapes differ by many orders (L = 3, M = 1e20); a
     # Python float, so that a shape beyond the double range gives a quiet
-    # nan, which pdf reports, not a numpy warning
-    log_f = -float(betaln(L, M)) + _quotient((L,), (M, mu))[1] + shape
-    return _exp_or_zero(log_f)
+    # nan, which log_pdf reports, not a numpy warning
+    return -float(betaln(L, M)) + _quotient((L,), (M, mu))[1] + shape
 
 
 @_pdf.register
 def _(model: InverseGamma, x: float) -> float:
     M, mu = model.M, model.mu
-    log_f = M * math.log(mu) - (M + 1.0) * math.log(x) - mu / x - gammaln(M)
-    return _exp_or_zero(log_f)
+    return M * math.log(mu) - (M + 1.0) * math.log(x) - mu / x - gammaln(M)
 
 
 def decompose(model: ClutterModel) -> Decomposition:
@@ -511,14 +495,17 @@ def decompose(model: ClutterModel) -> Decomposition:
     root of the gamma-distributed mean square).  Raises NumericOverflowError
     when a component's parameters are not representable as doubles.
     """
-    if validate(model)._components is None:
+    if not isinstance(model, ClutterModel):
+        raise ParameterError(f"not a clutter model: {model!r}")
+    if model._components is None:
         raise NotCompoundError(f"{type(model).__name__} is not a compound model")
     return model._decomposition
 
 
 def model_to_dict(model: ClutterModel) -> dict:
     """Flat record {family, <parameter>: value, ...} for JSON serialization."""
-    validate(model)
+    if not isinstance(model, ClutterModel):
+        raise ParameterError(f"not a clutter model: {model!r}")
     record = {"family": type(model).family}
     for field in fields(model):
         record[field.name] = float(getattr(model, field.name))

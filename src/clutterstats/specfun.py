@@ -1,16 +1,17 @@
-"""Special functions, ln K_nu with the Bessel-type integral and Gauss-Kronrod
-rule behind the compound densities, and the two numerical oracles everything
-else is checked against: adaptive quadrature on (0, inf) and central-difference
-differentiation.
+"""Special functions, ln K_nu, the one quadrature engine (Gauss-Kronrod 7-15
+panels over the whole line for exp(g), g concave) and differentiation.
 
 The special functions are thin validated wrappers over scipy.special.  Where
 kve fails, ln K_nu comes from closed forms for arguments below the normal
 doubles and for sqrt(nu^2 + w^2) >= 2^30, and otherwise from K_nu's integral
 on the whole line, which has the form of the Weibull-Nakagami texture
-integral, Int exp(A u - e^(q (b - u)) - e^(p (u - a))) du with a concave
-exponent; one routine evaluates both.  The oracles are kept deliberately
-independent of any closed-form code path so that transform and cumulant
-formulas can be cross-checked through a separate route.
+integral, Int exp(A u - e^(q (b - u)) - e^(p (u - a))) du; one routine
+evaluates both.  The oracles' integrals, Phi(s) and the Mellin convolution,
+have g a sum of log-densities in u = ln x and a linear term: every family is
+a product of independent gamma powers, so ln X has a log-concave density
+(Prekopa 1973) and g one peak, found with no scan.  A density that broke
+that would give a wrong integral, so a failed check against the closed
+forms, which the oracles do not use, not a pass.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 import scipy.special
 
 from .errors import NonConvergenceError, NumericOverflowError, ParameterError
@@ -34,7 +34,6 @@ __all__ = [
     "digamma",
     "polygamma",
     "bessel_k",
-    "integrate_semi_infinite",
     "derivative_at",
     "default_step",
 ]
@@ -47,7 +46,9 @@ class Tolerance:
     """Quadrature error budget.
 
     The integral is accepted when the estimated error is at most
-    max(abs_tol, rel_tol * |result|); otherwise the routine raises.
+    max(abs_tol, rel_tol * |result|); otherwise the routine raises.  The
+    whole-line routines integrate exp(g - g(peak)): abs_tol is in units of
+    the peak value.
     """
 
     abs_tol: float = 1e-10
@@ -384,45 +385,57 @@ def _panel_quadrature(f, edges, tol: Tolerance) -> float:
         errors = np.concatenate((errors[keep], new_errors))
 
 
-def integrate_semi_infinite(
-    f: Callable[[float], float], tol: Tolerance = DEFAULT_TOLERANCE
-) -> float:
-    """Integrate f over (0, inf) with adaptive quadrature.
+_U_LO, _U_HI = _LOG_TINY, math.log(sys.float_info.max)  # e^u a normal double
+_PROBES = [0.0] + [sign * 2.0**k for k in range(10) for sign in (1.0, -1.0)]
 
-    The domain is mapped to (0, 1) by x = t / (1 - t); adaptive subdivision
-    then handles integrable singularities at 0 and exponential or algebraic
-    tails.  Endpoints are never evaluated.
+
+def _log_concave_integral(g: Callable[[float], float], tol: Tolerance) -> float:
+    """ln Int exp(g(u)) du over the whole line, to tol, for a concave g that
+    may be -inf but not nan or +inf.  At the first of u = 0, 1, -1, 2, ...,
+    -512 where g is finite it takes a < b < c one apart, climbs in doubling
+    steps while g(a) or g(c) is above g(b), then halves the larger side until
+    g(a) and g(c) are within 4 of g(b).  From b it walks out each way in
+    doubling steps from c - b and b - a, one panel a step, until g has fallen
+    60 below g(b); by concavity the mass beyond is under 2 e^-60 of the
+    whole.  Where the climb or the walk reaches the end of the normal doubles
+    in e^u, or the bracket adjacent doubles, NonConvergenceError.
     """
+    b = next((u for u in _PROBES if g(u) > -math.inf), None)
+    if b is None:
+        raise NonConvergenceError("integrand is 0 at every probe")
+    bracket = [(b - 1.0, g(b - 1.0)), (b, g(b)), (b + 1.0, g(b + 1.0))]
+    while True:  # x meets a bracket point at the doubles' end or adjacent doubles
+        (a, ga), (b, gb), (c, gc) = bracket
+        if gc > gb:
+            x = min(c + 2.0 * (c - b), _U_HI)
+        elif ga > gb:
+            x = max(a - 2.0 * (b - a), _U_LO)
+        elif min(ga, gc) >= gb - 4.0:
+            break  # the bracket spans a few peak widths
+        else:
+            x = 0.5 * (b + c) if c - b > b - a else 0.5 * (a + b)
+        if x in (a, b, c):
+            raise NonConvergenceError("integrand peak not found in the doubles")
+        # the next bracket is the highest point and its neighbours
+        points = sorted(bracket + [(x, g(x))])
+        best = max(range(4), key=lambda k: points[k][1])
+        bracket = points[min(max(best - 1, 0), 1) :][:3]
+    edges = [b]
+    for step in (c - b, a - b):
+        while True:
+            u = min(max(b + step, _U_LO), _U_HI)
+            edges.append(u)
+            if g(u) <= gb - _PEAK_DROP:
+                break
+            if u in (_U_LO, _U_HI):
+                raise NonConvergenceError("integrand does not fall by the doubles' end")
+            step *= 2.0
+    edges.sort()
 
-    def transformed(t: float) -> float:
-        one_minus = 1.0 - t
-        if one_minus <= 0.0:
-            # reachable only when chasing a non-integrable tail; subdivision
-            # then runs out and the error check below reports it
-            return 0.0
-        return f(t / one_minus) / (one_minus * one_minus)
+    def integrand(u):
+        return np.exp(np.array([[g(v) for v in row] for row in u.tolist()]) - gb)
 
-    out = scipy.integrate.quad(
-        transformed,
-        0.0,
-        1.0,
-        epsabs=tol.abs_tol,
-        epsrel=tol.rel_tol,
-        limit=tol.max_subdivisions,
-        full_output=1,
-    )
-    result, abserr = out[0], out[1]
-    if len(out) > 3 or not math.isfinite(result):
-        raise NonConvergenceError(
-            f"semi-infinite quadrature did not converge within "
-            f"{tol.max_subdivisions} subdivisions (estimate {result!r}, "
-            f"error {abserr!r})"
-        )
-    if abserr > max(tol.abs_tol, tol.rel_tol * abs(result)):
-        raise NonConvergenceError(
-            f"quadrature error {abserr:g} exceeds requested tolerance"
-        )
-    return float(result)
+    return gb + math.log(_panel_quadrature(integrand, edges, tol))
 
 
 def default_step(x0: float, order: int) -> float:

@@ -5,11 +5,14 @@ family: closed-form transforms against direct quadrature of the density,
 closed-form log-cumulants against central-difference derivatives, and each
 compound's hand-written density against the numeric Mellin convolution of
 its speckle and texture densities, which checks the speckle x texture
-declaration that every compound closed form is derived from.
+declaration that every compound closed form is derived from.  Both
+quadratures integrate log-densities, in exponents that are concave (see
+specfun): a density that broke that would fail its check, not pass it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -30,9 +33,9 @@ from .models import (
     Weibull,
     WeibullNakagami,
     decompose,
-    pdf,
+    log_pdf,
 )
-from .specfun import Tolerance, integrate_semi_infinite
+from .specfun import Tolerance, _log_concave_integral
 
 __all__ = ["Check", "run_suite", "VERIFY_MODELS"]
 
@@ -109,21 +112,22 @@ def _cumulant_rows(model: ClutterModel, tolerance: float):
 
 
 def _convolution(parts: Decomposition, x: float) -> float:
-    """Density at x of speckle * texture, as the Mellin convolution
-    Int f_speckle(x/t) f_texture(t) dt/t of the component densities."""
+    """ln of the density at x of speckle * texture, from the Mellin
+    convolution of the component densities in v = ln t,
+    Int exp(ln f_speckle(x e^-v) + ln f_texture(e^v)) dv."""
 
-    def integrand(t: float) -> float:
-        density = pdf(parts.texture, t)
-        return 0.0 if density == 0.0 else pdf(parts.speckle, x / t) * density / t
+    def exponent(v: float) -> float:
+        t = math.exp(v)
+        return log_pdf(parts.speckle, x / t) + log_pdf(parts.texture, t)
 
-    return integrate_semi_infinite(integrand, _QUAD_TOL)
+    return _log_concave_integral(exponent, _QUAD_TOL)
 
 
 def _convolution_rows(model: ClutterModel, tolerance: float):
     parts = decompose(model)
     for x in _CONVOLUTION_POINTS:
-        closed = pdf(model, x)
-        yield f"x={x:g}", abs(closed - _convolution(parts, x)) / closed, tolerance
+        error = math.expm1(_convolution(parts, x) - log_pdf(model, x))
+        yield f"x={x:g}", abs(error), tolerance
 
 
 def run_suite(tolerance: float = 1e-6) -> List[Check]:

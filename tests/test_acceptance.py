@@ -36,9 +36,7 @@ def test_criterion_02_normalization_suite():
     worst = 0.0
     count = 0
     for model in ALL_MODELS:
-        total = cs.integrate_semi_infinite(
-            lambda x, m=model: cs.pdf(m, x), QUAD_TOL
-        )
+        total = cs.phi_numeric(model, 1.0, QUAD_TOL)
         worst = max(worst, abs(total - 1.0))
         count += 1
     ok = worst <= 1e-6 and count >= 36

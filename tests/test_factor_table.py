@@ -136,21 +136,22 @@ def test_log_cumulants_match_numeric_oracle(family, data):
         assert error <= _CUMULANT_FLOORS[order], f"order {order}"
 
 
-# Below these shapes the quadrature oracle, not the closed form, fails to
-# converge: a Weibull shape b (Weibull-Nakagami's c) puts the peak of
-# x^(s-1) f(x) near ((s-1)/b)^(1/b), and Fisher shapes under 0.5 leave slow
-# algebraic ends at 0 and infinity (see CHANGES.md).
-PHI_SHAPE_LO = {"weibull": 0.3, "weibull_nakagami": 0.3, "fisher": 0.5}
-
-
-def _check_phi_against_quadrature(family, data):
-    model = data.draw(models(family, PHI_SHAPE_LO.get(family, 0.2), 20.0))
+def _check_phi_against_quadrature(family, data, shape_hi=1000.0):
+    model = data.draw(models(family, 0.05, shape_hi))
     strip = cs.analyticity_strip(model)
-    lo, hi = max(strip.lower, -3.0) + 0.1, min(strip.upper, 5.0) - 0.1
-    s = lo + data.draw(st.floats(0.0, 1.0)) * (hi - lo)
+    lo, hi = max(strip.lower, -3.0), min(strip.upper, 5.0)
+    margin = min(0.1, (hi - lo) / 4.0)
+    s = lo + margin + data.draw(st.floats(0.0, 1.0)) * (hi - lo - 2.0 * margin)
     closed = cs.phi(model, s)
-    numeric = cs.phi_numeric(model, s, _QUAD_TOL)
-    assert abs(closed - numeric) / closed <= 1e-6
+    try:
+        numeric = cs.phi_numeric(model, s, _QUAD_TOL)
+    except cs.NonConvergenceError:
+        # the boundary: where Fisher's strip is under 0.2 wide, s lies within
+        # 0.1 of an edge, and a tail of x^(s-1) f(x) then falls by less than
+        # the quadrature's 60 before x leaves the doubles
+        assert family == "fisher" and model.L + model.M < 0.2
+        return
+    assert abs(closed - numeric) / closed <= 1e-10
 
 
 @pytest.mark.parametrize("family", sorted(set(FAMILIES) - {"weibull_nakagami"}))
@@ -163,31 +164,54 @@ def test_phi_matches_quadrature(family, data):
 @settings(max_examples=30)
 @given(data=st.data())
 def test_phi_matches_quadrature_weibull_nakagami(data):
-    # apart from the other families: the density is itself a quadrature
-    _check_phi_against_quadrature("weibull_nakagami", data)
+    # apart from the other families: the density is itself a quadrature,
+    # which raises NumericOverflowError in the density's tails for shapes
+    # above about 100 (at x = 1 for c = 286, alpha = 158, b = 1, sigma = 10)
+    _check_phi_against_quadrature("weibull_nakagami", data, 100.0)
+
+
+@pytest.mark.parametrize(
+    "model, s",
+    [
+        (cs.Weibull(b=237.2379219113694, z=7.879517240031746), 2.0353000996415087),
+        (
+            cs.InverseGamma(M=130.25006101046935, mu=0.3038815200788172),
+            -0.942838011590962,
+        ),
+        (cs.Nakagami(L=774.832358437589, mu=0.14464137983440167), 3.199),
+    ],
+)
+def test_phi_quadrature_of_narrow_densities(model, s):
+    # the integrand's peak spans under 1e-2 of ln x; quadrature on a map of
+    # (0, inf) onto (0, 1) never sampled it and returned 1e-14 of Phi
+    closed = cs.phi(model, s)
+    assert abs(cs.phi_numeric(model, s, _QUAD_TOL) - closed) <= 1e-12 * closed
 
 
 COMPOUNDS = ("gamma_gamma", "k_amplitude", "weibull_nakagami", "fisher")
 
 
 def _check_density_is_convolution(model, z):
-    # x lies z log-standard-deviations from the log-mean, in the bulk of the
-    # density; far in a tail the convolution quadrature loses the peak of its
-    # integrand
+    # x lies z log-standard-deviations from the log-mean; the logs are
+    # compared, so densities far below the doubles are checked too
     k1, k2 = cs.log_cumulants(model, 2).values
     x = math.exp(k1 + z * math.sqrt(k2))
-    density = cs.pdf(model, x)
-    assert abs(_convolution(cs.decompose(model), x) - density) <= 1e-8 * density
+    log_density = cs.log_pdf(model, x)
+    log_convolution = _convolution(cs.decompose(model), x)
+    if log_density == -math.inf:
+        # the Weibull-Nakagami log-density is -inf below e^-745
+        assert log_convolution < -745.0
+    else:
+        # 1e-8 of the density, and rounding of logs that reach 1e7 far out
+        assert abs(log_convolution - log_density) <= 1e-8 + 1e-14 * abs(log_density)
 
 
 @pytest.mark.parametrize("family", COMPOUNDS)
 @settings(max_examples=30)
 @given(data=st.data())
 def test_density_is_convolution_of_components(family, data):
-    # shapes of 0.5..20: narrower or spikier components put the convolution
-    # integrand's peak where the quadrature does not sample it
-    model = data.draw(models(family, 0.5, 20.0))
-    _check_density_is_convolution(model, data.draw(st.floats(-2.0, 2.0)))
+    model = data.draw(models(family, 0.1, 1000.0))
+    _check_density_is_convolution(model, data.draw(st.floats(-4.0, 4.0)))
 
 
 @settings(max_examples=30)

@@ -1,6 +1,9 @@
 """Special-function wrappers and the quadrature/differentiation oracles."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,11 +12,11 @@ import scipy.special
 import clutterstats as cs
 from clutterstats.specfun import (
     Tolerance,
+    _log_concave_integral,
     bessel_k,
     default_step,
     derivative_at,
     digamma,
-    integrate_semi_infinite,
     log_gamma,
     polygamma,
 )
@@ -104,14 +107,9 @@ class TestBesselK:
         assert bessel_k(0.5, 2.0) == pytest.approx(0.1199377, abs=1e-7)
 
     def test_integral_representation(self):
-        # K_0(x) = Int_0^inf exp(-x cosh t) dt, via the quadrature oracle
-        def integrand(t, x=1.0):
-            if t > 700.0:
-                return 0.0
-            w = x * math.cosh(t)
-            return math.exp(-w) if w < 745.0 else 0.0
-
-        oracle = integrate_semi_infinite(integrand, TIGHT)
+        # 2 K_0(x) = Int exp(-x cosh t) dt over the whole line, via the
+        # quadrature oracle
+        oracle = 0.5 * math.exp(_log_concave_integral(lambda t: -math.cosh(t), TIGHT))
         assert oracle == pytest.approx(0.42102443824070834, rel=1e-10)
         assert bessel_k(0.0, 1.0) == pytest.approx(oracle, rel=1e-9)
 
@@ -138,40 +136,53 @@ class TestBesselK:
             bessel_k(1.0, -2.0)
 
 
-class TestIntegrateSemiInfinite:
+class TestLogConcaveIntegral:
+    """ln Int exp(g(u)) du over the whole line; with u = ln x these are
+    integrals over (0, inf) of x^(s-1) times a density."""
+
     def test_unit_exponential(self):
-        result = integrate_semi_infinite(lambda x: math.exp(-min(x, 745.0)))
-        assert result == pytest.approx(1.0, rel=1e-10)
+        # Int e^-x dx = Int exp(u - e^u) du
+        result = _log_concave_integral(lambda u: u - math.exp(u), TIGHT)
+        assert result == pytest.approx(0.0, abs=1e-12)
 
-    def test_gamma_two(self):
-        result = integrate_semi_infinite(
-            lambda x: x * math.exp(-x) if x < 745.0 else 0.0
-        )
-        assert result == pytest.approx(1.0, rel=1e-10)
-
-    def test_gamma_pdf_normalization(self):
-        model = cs.Gamma(L=3.0, mu=2.0)
-        result = integrate_semi_infinite(lambda x: cs.pdf(model, x))
-        assert result == pytest.approx(1.0, rel=1e-9)
-
-    @pytest.mark.parametrize("s", [0.5, 1.0, 2.5, 5.0])
+    @pytest.mark.parametrize("s", [0.1, 0.5, 1.0, 2.5, 5.0])
     def test_gamma_function_identity(self, s):
         # Gamma(s) = Int x^(s-1) e^-x dx, including the integrable
         # singularity at 0 for s < 1
-        def integrand(x):
-            if x > 745.0:
-                return 0.0
-            return x ** (s - 1.0) * math.exp(-x)
+        result = _log_concave_integral(lambda u: s * u - math.exp(u), TIGHT)
+        assert result == pytest.approx(log_gamma(s), abs=1e-11)
 
-        result = integrate_semi_infinite(integrand, TIGHT)
-        assert result == pytest.approx(math.exp(log_gamma(s)), rel=1e-8)
+    def test_zero_at_start_and_narrow_peak(self):
+        # Weibull(b=1000, z=1e-2): g is -inf at u = 0 and the peak is 1e-3
+        # wide, 4.6 away
+        model = cs.Weibull(b=1000.0, z=1e-2)
+        result = _log_concave_integral(
+            lambda u: u + cs.log_pdf(model, math.exp(u)), TIGHT
+        )
+        assert result == pytest.approx(0.0, abs=1e-12)
 
     def test_non_convergence(self):
-        # totally non-integrable integrand must raise, not return garbage
+        # Int 1/(1 + x) dx diverges: g = u - ln(1 + e^u) rises to 0 and never
+        # falls, so the walk reaches the end of the doubles and raises
         with pytest.raises(cs.NonConvergenceError):
-            integrate_semi_infinite(
-                lambda x: 1.0 / (1.0 + x), Tolerance(1e-10, 1e-10, 50)
+            _log_concave_integral(
+                lambda u: u - math.log1p(math.exp(u)), Tolerance(1e-10, 1e-10, 50)
             )
+        # Gamma(0.05) is finite, but its g = 0.05 u - e^u falls by 60 only
+        # beyond u = -1200, where x = e^u has left the doubles
+        with pytest.raises(cs.NonConvergenceError):
+            _log_concave_integral(lambda u: 0.05 * u - math.exp(u), TIGHT)
+
+
+def test_import_leaves_out_scipy_integrate():
+    # specfun's Gauss-Kronrod panels are the package's one quadrature engine
+    code = "import sys, clutterstats; print('scipy.integrate' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(cs.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestDerivativeAt:
