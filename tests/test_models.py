@@ -35,11 +35,10 @@ class TestValidate:
         with pytest.raises(cs.ParameterError, match="finite"):
             cs.Rayleigh(z=math.nan)
 
-    @pytest.mark.parametrize("fn", [cs.decompose, cs.model_to_dict, cs.pdf])
+    @pytest.mark.parametrize("fn", [cs.decompose, cs.model_to_dict])
     def test_not_a_model(self, fn):
-        args = ("gamma", 1.0) if fn is cs.pdf else ("gamma",)
         with pytest.raises(cs.ParameterError, match="not a clutter model"):
-            fn(*args)
+            fn("gamma")
 
     @pytest.mark.parametrize(
         "cls, name",
