@@ -391,25 +391,25 @@ _PROBES = [0.0] + [sign * 2.0**k for k in range(10) for sign in (1.0, -1.0)]
 
 def _log_concave_integral(g: Callable[[float], float], tol: Tolerance) -> float:
     """ln Int exp(g(u)) du over the whole line, to tol, for a concave g that
-    may be -inf but not nan or +inf.  At the first of u = 0, 1, -1, 2, ...,
-    -512 where g is finite it takes a < b < c one apart, climbs in doubling
-    steps while g(a) or g(c) is above g(b), then halves the larger side until
-    g(a) and g(c) are within 4 of g(b).  From b it walks out each way in
-    doubling steps from c - b and b - a, one panel a step, until g has fallen
-    60 below g(b); by concavity the mass beyond is under 2 e^-60 of the
-    whole.  Where the climb or the walk reaches the end of the normal doubles
-    in e^u, or the bracket adjacent doubles, NonConvergenceError.
+    may be -inf but not nan or +inf.  At the first of u = 0, 1, -1, ..., -512
+    where g is finite it takes a < b < c one apart, climbs in doubling steps
+    (halving them at the doubles' end) while g(a) or g(c) is above g(b), then
+    halves the larger side until g(a), g(c) are within 4 of g(b).  From b it
+    walks out each way in doubling steps from c - b and b - a, one panel a
+    step, until g has fallen 60 below g(b); by concavity the mass beyond is
+    under 2 e^-60 of the whole.  Where the walk reaches the end of the normal
+    doubles in e^u, or the bracket adjacent doubles, NonConvergenceError.
     """
     b = next((u for u in _PROBES if g(u) > -math.inf), None)
     if b is None:
         raise NonConvergenceError("integrand is 0 at every probe")
     bracket = [(b - 1.0, g(b - 1.0)), (b, g(b)), (b + 1.0, g(b + 1.0))]
-    while True:  # x meets a bracket point at the doubles' end or adjacent doubles
+    while True:  # halvings end at adjacent doubles, where x is a bracket point
         (a, ga), (b, gb), (c, gc) = bracket
         if gc > gb:
-            x = min(c + 2.0 * (c - b), _U_HI)
+            x = min(c + 2.0 * (c - b), _U_HI) if c < _U_HI else 0.5 * (b + c)
         elif ga > gb:
-            x = max(a - 2.0 * (b - a), _U_LO)
+            x = max(a - 2.0 * (b - a), _U_LO) if a > _U_LO else 0.5 * (a + b)
         elif min(ga, gc) >= gb - 4.0:
             break  # the bracket spans a few peak widths
         else:

@@ -188,6 +188,15 @@ def test_phi_quadrature_of_narrow_densities(model, s):
     assert abs(cs.phi_numeric(model, s, _QUAD_TOL) - closed) <= 1e-12 * closed
 
 
+@pytest.mark.parametrize("log_mu", [-640.0, 640.0])
+def test_phi_quadrature_near_the_doubles_end(log_mu):
+    # the peak lies between the climb's last doubling step and the end of
+    # the doubles, so the climb must look inside that step; quadrature on the
+    # (0, 1) map returned 0
+    model = cs.Exponential(mu=math.exp(log_mu))
+    assert abs(cs.phi_numeric(model, 1.0, _QUAD_TOL) - 1.0) <= 1e-12
+
+
 COMPOUNDS = ("gamma_gamma", "k_amplitude", "weibull_nakagami", "fisher")
 
 
