@@ -18,9 +18,10 @@ joined, and its transform factors and its log-cumulants add by construction.
 
 Two numerical routes double-check the closed forms: direct quadrature of
 the transform integral over the log-density (phi_numeric, which takes only
-the strip from the table; its exponent in ln x is concave, see specfun) and
-central-difference derivatives of Psi (log_cumulants_numeric, which checks
-the cumulant sums against Psi itself).
+the strip from the table; its exponent in ln x is concave, since ln X of a
+product of gamma powers has a log-concave density, and a density that broke
+that would fail the check, not pass it) and central-difference derivatives
+of Psi (log_cumulants_numeric, which checks the cumulant sums against Psi).
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ it against the compound's (verify).
 
 The densities are written out as logs (log_pdf; pdf is its exponential).
 Each family is a product of independent gamma powers, so ln X has a
-log-concave density, which the oracles rely on (see specfun); ln K_nu (from
-ln w) and the Weibull-Nakagami texture integral come from specfun.
+log-concave density: the oracles' integrands are concave in ln x, and a
+density that broke that would fail a cross-check, not pass it.  ln K_nu
+(from ln w) and the Weibull-Nakagami texture integral come from specfun.
 """
 
 from __future__ import annotations
@@ -216,9 +217,8 @@ class WeibullNakagami(ClutterModel):
     with r' = r / sqrt(sigma).
 
     In u = ln z the integrand is exp of a strictly concave function, which
-    pdf integrates to 1e-10 relative with specfun's concave-peak quadrature
-    (the one that also gives ln K_nu where kve overflows), from the integrand
-    alone, never the closed-form transform that verify checks against it.
+    log_pdf integrates to 1e-10 relative with specfun's concave-peak rule,
+    from the integrand alone, never the closed form verify checks it against.
     """
 
     c: float
@@ -315,10 +315,9 @@ def _quotient(
 
 
 def log_pdf(model: ClutterModel, x: float) -> float:
-    """ln of the density of the model at x > 0: -inf where it carries e^-w
-    with w beyond the doubles, and for Weibull-Nakagami below e^-745.  Raises
-    NumericOverflowError, naming the model and x, where it is not
-    representable (for example when x / scale underflows)."""
+    """ln of the density of the model at x > 0 (-inf where it carries e^-w, w
+    beyond the doubles, and for Weibull-Nakagami below e^-745); raises
+    NumericOverflowError, naming the model and x, where it is not in doubles."""
     x = float(x)
     if math.isnan(x) or x <= 0:
         raise ParameterError(f"x must be > 0, got {x!r}")

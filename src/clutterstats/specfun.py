@@ -10,8 +10,7 @@ evaluates both.  The oracles' integrals, Phi(s) and the Mellin convolution,
 have g a sum of log-densities in u = ln x and a linear term: every family is
 a product of independent gamma powers, so ln X has a log-concave density
 (Prekopa 1973) and g one peak, found with no scan.  A density that broke
-that would give a wrong integral, so a failed check against the closed
-forms, which the oracles do not use, not a pass.
+that would give a wrong integral, so a failed check, not a pass.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ closed-form log-cumulants against central-difference derivatives, and each
 compound's hand-written density against the numeric Mellin convolution of
 its speckle and texture densities, which checks the speckle x texture
 declaration that every compound closed form is derived from.  Both
-quadratures integrate log-densities, in exponents that are concave (see
-specfun): a density that broke that would fail its check, not pass it.
+quadratures integrate log-densities in a log variable, with exponents that
+are concave because each family is a product of gamma powers: a density
+that broke that would fail its check, not pass it.
 """
 
 from __future__ import annotations
