@@ -1,7 +1,8 @@
 """Empirical second-kind statistics and method-of-log-cumulants (MoLC) fitting.
 
-Empirical log-moments are sample means of powers of ln(x); log-cumulants
-follow through the standard moment-cumulant relations.  The sums of powers
+Empirical log-moments are sample means of powers of ln(x), of orders 1..6
+like every log-statistic in mellin; log-cumulants follow through the standard
+moment-cumulant recursion (mellin.convert).  The sums of powers
 are exactly rounded, equal to math.fsum bit for bit, but taken in numpy:
 each summand is split exactly into a high and a low half, the halves are
 summed without rounding in float64 bins indexed by the summand's binary
@@ -217,7 +218,7 @@ def empirical_log_moments(samples: SampleSet, max_n: int) -> LogStats:
     One pass over chunks of the samples forms each chunk's powers by
     repeated multiplication, the same doubles a whole-array loop forms.
     """
-    mellin._check_max_n(max_n, 4)
+    mellin._check_max_n(max_n)
     if not isinstance(samples, SampleSet):
         samples = SampleSet(samples)
     sums = [_ExactSum() for _ in range(max_n)]
@@ -233,7 +234,7 @@ def empirical_log_moments(samples: SampleSet, max_n: int) -> LogStats:
 
 def empirical_log_cumulants(samples: SampleSet, max_n: int) -> LogStats:
     """Sample log-cumulants via the standard moment-cumulant relations."""
-    mellin._check_max_n(max_n, 4)
+    mellin._check_max_n(max_n)
     if not isinstance(samples, SampleSet):
         samples = SampleSet(samples)
     if samples.count < 2:
@@ -262,7 +263,6 @@ def log_moment_standard_errors(
 ) -> Tuple[float, ...]:
     """Monte-Carlo standard errors of the empirical log-moments, estimated by
     splitting the sample into contiguous batches."""
-    mellin._check_max_n(max_n, 4)
     return _batch_standard_errors(samples, max_n, batches, empirical_log_moments)
 
 
@@ -270,7 +270,6 @@ def log_cumulant_standard_errors(
     samples: SampleSet, max_n: int, batches: int = 10
 ) -> Tuple[float, ...]:
     """Batch-split standard errors of the empirical log-cumulants."""
-    mellin._check_max_n(max_n, 4)
     return _batch_standard_errors(samples, max_n, batches, empirical_log_cumulants)
 
 
@@ -278,7 +277,7 @@ def texture_log_cumulants(
     data_cumulants: LogStats, speckle: ClutterModel, max_n: int
 ) -> LogStats:
     """Texture log-cumulants by additivity: data minus closed-form speckle."""
-    mellin._check_max_n(max_n, 4)
+    speckle_cumulants = mellin.log_cumulants(speckle, max_n)
     if data_cumulants.kind != KIND_LOG_CUMULANTS:
         raise ParameterError("data statistics must be log-cumulants")
     if data_cumulants.convention != CONVENTION_STANDARD:
@@ -288,7 +287,6 @@ def texture_log_cumulants(
             f"need data cumulants up to order {max_n}, "
             f"got {len(data_cumulants.values)}"
         )
-    speckle_cumulants = mellin.log_cumulants(speckle, max_n)
     values = tuple(
         data_cumulants.values[i] - speckle_cumulants.values[i]
         for i in range(max_n)

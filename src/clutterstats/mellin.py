@@ -85,6 +85,7 @@ CONVENTION_PAPER_EQ6 = "paper_eq6"
 
 _KINDS = (KIND_LOG_MOMENTS, KIND_LOG_CUMULANTS)
 _CONVENTIONS = (CONVENTION_STANDARD, CONVENTION_PAPER_EQ6)
+_PAPER_CUMULANTS = (KIND_LOG_CUMULANTS, CONVENTION_PAPER_EQ6)
 
 
 @dataclass(frozen=True)
@@ -112,10 +113,11 @@ class AnalyticityStrip:
 class LogStats:
     """Ordered log-moments or log-cumulants, values[k] being order k+1.
 
-    convention marks which fourth-order moment/cumulant relation applies:
-    'standard' uses the classical relations (the only choice consistent with
-    empirical fourth-order statistics); 'paper_eq6' keeps the raw-to-central
-    style fourth line some texts print.  Orders 1..3 agree between the two.
+    convention marks which fourth-order log-cumulant applies: 'standard' is
+    the classical cumulant (the only choice consistent with empirical
+    fourth-order statistics); 'paper_eq6' is the fourth central moment
+    k4 + 3 k2^2, which some texts print in its place, and is defined for
+    orders 1..4 only.  Orders 1..3 agree between the two.
     """
 
     kind: str
@@ -312,11 +314,14 @@ def classical_moment(model: ClutterModel, n: int) -> float:
 # machine-checked against log_cumulants_numeric.
 
 
-def _check_max_n(max_n: int, limit: int) -> int:
+_MAX_ORDER = 6  # of every log-statistic, closed-form, converted or empirical
+
+
+def _check_max_n(max_n: int, limit: int = _MAX_ORDER) -> int:
     if isinstance(max_n, bool) or not isinstance(max_n, int):
-        raise ParameterError(f"max_n must be an integer, got {max_n!r}")
+        raise ParameterError(f"max order must be an integer, got {max_n!r}")
     if not 1 <= max_n <= limit:
-        raise ParameterError(f"max_n must be in 1..{limit}, got {max_n}")
+        raise ParameterError(f"max order must be in 1..{limit}, got {max_n}")
     return max_n
 
 
@@ -326,8 +331,8 @@ def log_cumulants(model: ClutterModel, max_n: int) -> LogStats:
     k_n = sum over gamma factors of q^(-n) psi^(n-1)(a); k_1 also carries the
     scale, sum over power terms of e ln(base).
     """
+    _check_max_n(max_n)
     powers, gammas = factor_table(model)
-    _check_max_n(max_n, 6)
     gammas = sorted(gammas)
     values = []
     for n in range(1, max_n + 1):
@@ -355,7 +360,8 @@ def log_cumulants_numeric(model: ClutterModel, max_n: int) -> LogStats:
     O(h^2) differences cannot reach the 1e-3 bound for shape parameters near
     0.5, where the sixth derivative of Psi is of order 1e4.
     """
-    _check_max_n(max_n, 4)
+    # one step size per stencil of derivative_at, which stops at order 4
+    _check_max_n(max_n, len(_NUMERIC_STEPS))
     strip = analyticity_strip(model)
     margin = min(1.0 - strip.lower, strip.upper - 1.0)
 
@@ -384,8 +390,7 @@ def log_cumulants_numeric(model: ClutterModel, max_n: int) -> LogStats:
 
 
 def log_moments(model: ClutterModel, max_n: int) -> LogStats:
-    """Log-moments m~_n = E[(ln X)^n] for n = 1..max_n (max_n up to 4)."""
-    _check_max_n(max_n, 4)
+    """Log-moments m~_n = E[(ln X)^n], n = 1..max_n, from log_cumulants."""
     return convert(log_cumulants(model, max_n), KIND_LOG_MOMENTS)
 
 
@@ -393,57 +398,32 @@ def log_moments(model: ClutterModel, max_n: int) -> LogStats:
 # Moment/cumulant conversion, both conventions.
 
 
-def _moments_to_cumulants(m, paper: bool):
-    k = [m[0]]
-    if len(m) > 1:
-        k.append(m[1] - m[0] ** 2)
-    if len(m) > 2:
-        k.append(m[2] - 3.0 * m[0] * m[1] + 2.0 * m[0] ** 3)
-    if len(m) > 3:
-        if paper:
-            k.append(
-                m[3] - 4.0 * m[0] * m[2] + 6.0 * m[0] ** 2 * m[1] - 3.0 * m[0] ** 4
-            )
-        else:
-            k.append(
-                m[3]
-                - 4.0 * m[0] * m[2]
-                - 3.0 * m[1] ** 2
-                + 12.0 * m[0] ** 2 * m[1]
-                - 6.0 * m[0] ** 4
-            )
-    return k
-
-
-def _cumulants_to_moments(k, paper: bool):
-    m = [k[0]]
-    if len(k) > 1:
-        m.append(k[1] + m[0] ** 2)
-    if len(k) > 2:
-        m.append(k[2] + 3.0 * m[0] * m[1] - 2.0 * m[0] ** 3)
-    if len(k) > 3:
-        if paper:
-            m.append(
-                k[3] + 4.0 * m[0] * m[2] - 6.0 * m[0] ** 2 * m[1] + 3.0 * m[0] ** 4
-            )
-        else:
-            m.append(
-                k[3]
-                + 4.0 * m[0] * m[2]
-                + 3.0 * m[1] ** 2
-                - 12.0 * m[0] ** 2 * m[1]
-                + 6.0 * m[0] ** 4
-            )
-    return m
+def _moment_cumulant_recursion(values, to_moments: bool):
+    """Log-moments from log-cumulants (to_moments) or the reverse, orders
+    1..len(values), by m_n = sum_{j=1..n} C(n-1, j-1) k_j m_(n-j) with
+    m_0 = 1 (Smith, The American Statistician 49(2), 1995), solved for m_n
+    or for k_n."""
+    m, k = [1.0], []
+    sign = 1.0 if to_moments else -1.0
+    for n, value in enumerate(values, start=1):
+        total = value
+        for j in range(1, n):
+            total += sign * math.comb(n - 1, j - 1) * k[j - 1] * m[n - j]
+        m.append(total if to_moments else value)
+        k.append(value if to_moments else total)
+    return m[1:] if to_moments else k
 
 
 def convert(
     stats: LogStats, target_kind: str, convention: str = CONVENTION_STANDARD
 ) -> LogStats:
-    """Convert between log-moments and log-cumulants (orders up to 4).
+    """Convert between log-moments and log-cumulants, orders 1..6.
 
-    Log-moments are convention-free; the convention argument selects which
-    fourth-order relation produces (or consumed) cumulants.  Under the
+    Both directions solve the one moment-cumulant recursion.  Log-moments are
+    convention-free; the convention argument labels the cumulants produced,
+    and stats.convention those consumed.  paper_eq6 differs from the
+    standard convention at order 4 only, k4' = k4 + 3 k2^2 (the fourth
+    central moment), and is defined for orders 1..4 only.  Under the
     standard convention the moment<->cumulant round trip is the identity.
     """
     if not isinstance(stats, LogStats):
@@ -452,18 +432,22 @@ def convert(
         raise ParameterError(f"target kind must be one of {_KINDS}")
     if convention not in _CONVENTIONS:
         raise ParameterError(f"convention must be one of {_CONVENTIONS}")
-    if len(stats.values) > 4:
+    values = list(stats.values)
+    _check_max_n(len(values))
+    paper_in = (stats.kind, stats.convention) == _PAPER_CUMULANTS
+    paper_out = (target_kind, convention) == _PAPER_CUMULANTS
+    if (paper_in or paper_out) and len(values) > 4:
         raise ParameterError(
-            f"conversion supports orders 1..4, got {len(stats.values)} values"
+            f"{CONVENTION_PAPER_EQ6} is defined for orders 1..4, got "
+            f"{len(values)} values"
         )
-    if stats.kind == KIND_LOG_MOMENTS:
-        moments = list(stats.values)
-    else:
-        moments = _cumulants_to_moments(
-            stats.values, stats.convention == CONVENTION_PAPER_EQ6
-        )
-    if target_kind == KIND_LOG_MOMENTS:
-        out = moments
-    else:
-        out = _moments_to_cumulants(moments, convention == CONVENTION_PAPER_EQ6)
-    return LogStats(target_kind, convention, tuple(float(v) for v in out))
+    if stats.kind == KIND_LOG_CUMULANTS:
+        if paper_in and len(values) == 4:
+            values[3] -= 3.0 * values[1] ** 2
+        if target_kind == KIND_LOG_MOMENTS:
+            values = _moment_cumulant_recursion(values, to_moments=True)
+    elif target_kind == KIND_LOG_CUMULANTS:
+        values = _moment_cumulant_recursion(values, to_moments=False)
+    if paper_out and len(values) == 4:
+        values[3] += 3.0 * values[1] ** 2
+    return LogStats(target_kind, convention, tuple(values))

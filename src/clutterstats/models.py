@@ -395,11 +395,11 @@ def _(model: Maxwell, x: float) -> float:
 @_pdf.register
 def _(model: Weibull, x: float) -> float:
     b, z = model.b, model.z
-    log_ratio = math.log(x / z)
+    log_ratio = _quotient((x,), (z,))[1]
     t = b * log_ratio
     if t > _LOG_MAX:
         return -math.inf
-    return math.log(b / z) + (b - 1.0) * log_ratio - math.exp(t)
+    return _quotient((b,), (z,))[1] + (b - 1.0) * log_ratio - math.exp(t)
 
 
 @_pdf.register

@@ -85,8 +85,9 @@ def digamma(x: float) -> float:
 def polygamma(order: int, x: float) -> float:
     """psi(x) for order 0, or the order-th derivative of psi(x) for order >= 1.
 
-    Orders above 6 are not needed anywhere in the toolkit (log-cumulants up to
-    order 7) and are rejected so accuracy claims stay bounded.
+    Orders above 6 are not needed anywhere in the toolkit (log-cumulants stop
+    at order 6, which takes order 5) and are rejected so accuracy claims stay
+    bounded.
     """
     if not isinstance(order, int) or isinstance(order, bool):
         raise ParameterError(f"order must be an integer, got {order!r}")
@@ -199,6 +200,7 @@ def _log_kve(nu: float, log_w: float) -> float:
 
 
 _PEAK_DROP = 60.0  # the integral's range ends where its exponent falls this far
+_FAR_Y = 700.0  # below this, e^y in drop's phi(y) cannot overflow
 _PEAK_MAX_STEPS = 100  # Newton and bisection steps to the peak
 
 
@@ -228,8 +230,8 @@ def _log_peak_integral(
     steps of the peak width goes out each way until g has fallen 60 below the
     peak (by concavity the mass beyond is below e^-60 of the whole), two
     Gauss-Kronrod panels a step, at most max_subdivisions/4 steps a side, else
-    NonConvergenceError; a term is not taken past the point where its exp
-    would overflow, and if g has not fallen there, NumericOverflowError.
+    NonConvergenceError; a term e^(t + y) is not taken past the point where
+    it would overflow, and if g has not fallen there, NumericOverflowError.
     """
     m = (math.log(q) - math.log(p) + q * b + p * a) / (p + q)  # B = C
     if A > 0.0:
@@ -278,14 +280,27 @@ def _log_peak_integral(
         y1, y2 = -q * d, p * d
         return -e1 * (expm1(y1) - y1) - e2 * (expm1(y2) - y2)
 
+    def far_drop(d):
+        """drop, for walks that go past y = 700, where e^y can overflow and
+        e^t e^y not: there the term is e^(t + y) - e^t (1 + y)."""
+        total = 0.0
+        for e, t, y in ((e1, t1, -q * d), (e2, t2, p * d)):
+            near = np.minimum(y, _FAR_Y)
+            total -= np.where(
+                y > _FAR_Y, np.exp(t + y) - e * (1.0 + y), e * (np.expm1(near) - near)
+            )
+        return total
+
     edges = [0.0]
+    far = False
     for sign, t, rate in ((1.0, t2, p), (-1.0, t1, q)):
-        cap = (_LOG_MAX - max(t, 0.0)) / rate
+        cap = (_LOG_MAX - t) / rate  # where e^(t + y) would overflow
         near, d = 0.0, width
         for _ in range(tol.max_subdivisions // 4):
             d = min(d, cap)
             edges += (0.5 * sign * (near + d), sign * d)
-            if drop(sign * d) <= -_PEAK_DROP:
+            far = far or rate * d > _FAR_Y
+            if (far_drop if far else drop)(sign * d) <= -_PEAK_DROP:
                 break
             if d == cap:
                 raise NumericOverflowError("integrand not representable")
@@ -301,7 +316,7 @@ def _log_peak_integral(
     # an overflow raises FloatingPointError, not a numpy warning
     with np.errstate(over="raise", invalid="raise"):
         integral = _panel_quadrature(
-            lambda d: np.exp(drop(d, np.expm1)), edges, tol
+            lambda d: np.exp(far_drop(d) if far else drop(d, np.expm1)), edges, tol
         )
     return top + math.log(integral)
 

@@ -105,11 +105,12 @@ def _transform_rows(model: ClutterModel, tolerance: float):
 
 
 def _cumulant_rows(model: ClutterModel, tolerance: float):
-    closed = mellin.log_cumulants(model, 4).values
-    numeric = mellin.log_cumulants_numeric(model, 4).values
-    for order in range(1, 5):
+    orders = len(_CUMULANT_FLOORS)  # every order the numeric oracle reaches
+    closed = mellin.log_cumulants(model, orders).values
+    numeric = mellin.log_cumulants_numeric(model, orders).values
+    for order, floor in _CUMULANT_FLOORS.items():
         err = abs(closed[order - 1] - numeric[order - 1])
-        yield f"order {order}", err, max(tolerance, _CUMULANT_FLOORS[order])
+        yield f"order {order}", err, max(tolerance, floor)
 
 
 def _convolution(parts: Decomposition, x: float) -> float:

@@ -129,6 +129,15 @@ class TestEmpiricalLogCumulants:
         se = cs.log_cumulant_standard_errors(samples, 2)[1]
         assert abs(stats.values[1] - polygamma(1, 1.0)) <= 3.0 * se
 
+    def test_monte_carlo_fifth_and_sixth_orders(self):
+        model = cs.GammaGamma(L=4.0, M=2.0, mu=1.0)
+        samples = cs.sample(model, 200_000, cs.RngState(42))
+        stats = cs.empirical_log_cumulants(samples, 6)
+        se = cs.log_cumulant_standard_errors(samples, 6, batches=50)
+        closed = cs.log_cumulants(model, 6)
+        for n in (5, 6):
+            assert abs(stats.order(n) - closed.order(n)) <= 6.0 * se[n - 1]
+
     def test_monte_carlo_rayleigh(self):
         samples = cs.sample(cs.Rayleigh(z=1.0), 1_000_000, cs.RngState(42))
         stats = cs.empirical_log_cumulants(samples, 2)

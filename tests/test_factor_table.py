@@ -164,10 +164,11 @@ def test_phi_matches_quadrature(family, data):
 @settings(max_examples=30)
 @given(data=st.data())
 def test_phi_matches_quadrature_weibull_nakagami(data):
-    # apart from the other families: the density is itself a quadrature,
-    # which raises NumericOverflowError in the density's tails for shapes
-    # above about 100 (at x = 1 for c = 286, alpha = 158, b = 1, sigma = 10)
-    _check_phi_against_quadrature("weibull_nakagami", data, 100.0)
+    # apart from the other families: the density is itself a quadrature.
+    # With both shapes above about 600 its walk can stall in far tails, where
+    # the peak is too narrow for expm1(y) - y to resolve (NonConvergenceError;
+    # 1 of 3000 random models with shapes up to 700, none of 4000 up to 500)
+    _check_phi_against_quadrature("weibull_nakagami", data, 500.0)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Transforms, strips, moments, log-cumulants and the conversion rules."""
 
+import functools
 import math
 
 import mpmath
@@ -306,6 +307,13 @@ class TestConvert:
         k = cs.convert(m, "log_cumulants", "standard")
         assert k.values == (0.0, 1.0, 0.0, 0.0)
 
+    def test_gaussian_pattern_sixth_order(self):
+        # a normal ln X has k = (0, 1, 0, 0, 0, 0) and m = (0, 1, 0, 3, 0, 15)
+        m = cs.LogStats("log_moments", "standard", (0.0, 1.0, 0.0, 3.0, 0.0, 15.0))
+        k = cs.convert(m, "log_cumulants")
+        assert k.values == (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        assert cs.convert(k, "log_moments").values == m.values
+
     def test_gaussian_pattern_paper(self):
         m = cs.LogStats("log_moments", "standard", (0.0, 1.0, 0.0, 3.0))
         k = cs.convert(m, "log_cumulants", "paper_eq6")
@@ -351,13 +359,116 @@ class TestConvert:
 
     def test_unsupported_order(self):
         k = cs.log_cumulants(cs.Gamma(2.0, 1.0), 6)
-        with pytest.raises(cs.ParameterError, match="orders 1..4"):
-            cs.convert(k, "log_moments")
+        assert len(cs.convert(k, "log_moments").values) == 6
+        seven = cs.LogStats("log_cumulants", "standard", k.values + (0.0,))
+        with pytest.raises(cs.ParameterError, match=r"max order must be in 1\.\.6, got 7"):
+            cs.convert(seven, "log_moments")
+        five = cs.LogStats("log_cumulants", "standard", k.values[:5])
+        with pytest.raises(cs.ParameterError, match="paper_eq6 is defined for orders 1..4"):
+            cs.convert(five, "log_cumulants", "paper_eq6")
+        paper = cs.LogStats("log_cumulants", "paper_eq6", k.values[:5])
+        with pytest.raises(cs.ParameterError, match="paper_eq6 is defined for orders 1..4"):
+            cs.convert(paper, "log_moments")
 
     def test_bad_kind(self):
         m = cs.LogStats("log_moments", "standard", (0.0,))
         with pytest.raises(cs.ParameterError):
             cs.convert(m, "moments")
+
+
+def _mp_log_moments(log_f, max_n, peak):
+    """E[(ln X)^n], n = 1..max_n, as 30-digit mpmath quadratures of
+    u^n f(e^u) e^u over u = ln x, split around the peak of the integrand.
+    The densities below have power tails at 0, which leave under e^-60 beyond
+    60 left of the peak, and tails beyond 8 right of it that fall faster."""
+    with mpmath.workdps(30):
+        splits = [peak + d for d in (-60, -30, -15, -8, -4, -2, -1, 0, 1, 2, 4, 8)]
+
+        @functools.lru_cache(maxsize=None)  # every order reuses the nodes
+        def density(u):
+            return mpmath.exp(log_f(mpmath.exp(u)) + u)
+
+        return [
+            float(mpmath.quad(lambda u: u**n * density(u), splits))
+            for n in range(1, max_n + 1)
+        ]
+
+
+def _mp_gamma_log_f(L, mu):
+    L, mu = mpmath.mpf(L), mpmath.mpf(mu)
+    return lambda x: (
+        L * mpmath.log(L / mu) + (L - 1) * mpmath.log(x) - L * x / mu
+        - mpmath.loggamma(L)
+    )
+
+
+def _mp_weibull_log_f(b, z):
+    b, z = mpmath.mpf(b), mpmath.mpf(z)
+    return lambda x: mpmath.log(b / z) + (b - 1) * mpmath.log(x / z) - (x / z) ** b
+
+
+def _mp_gamma_gamma_log_f(L, M, mu):
+    L, M, mu = mpmath.mpf(L), mpmath.mpf(M), mpmath.mpf(mu)
+    return lambda x: (
+        mpmath.log(2) + (L + M) / 2 * mpmath.log(L * M / mu)
+        + ((L + M) / 2 - 1) * mpmath.log(x)
+        + mpmath.log(mpmath.besselk(M - L, 2 * mpmath.sqrt(L * M * x / mu)))
+        - mpmath.loggamma(L) - mpmath.loggamma(M)
+    )
+
+
+class TestSixthOrder:
+    @pytest.mark.parametrize(
+        "model, log_f",
+        [
+            (cs.Gamma(L=2.0, mu=1.0), _mp_gamma_log_f(2, 1)),
+            (cs.Weibull(b=1.7, z=2.0), _mp_weibull_log_f(1.7, 2)),
+            (
+                cs.GammaGamma(L=2.5, M=4.25, mu=1.5),
+                _mp_gamma_gamma_log_f(2.5, 4.25, 1.5),
+            ),
+        ],
+        ids=["gamma", "weibull", "gamma_gamma"],
+    )
+    def test_log_moments_match_mpmath(self, model, log_f):
+        values = cs.log_moments(model, 6).values
+        expected = _mp_log_moments(log_f, 6, values[0])
+        for n, (value, reference) in enumerate(zip(values, expected), start=1):
+            scaled = abs(value - reference) / max(1.0, abs(reference))
+            assert scaled <= 1e-14, f"order {n}"
+
+
+SAMPLES = cs.SampleSet([0.5 + 0.01 * i for i in range(100)])
+DATA_CUMULANTS = cs.log_cumulants(cs.GammaGamma(L=2.0, M=3.0, mu=1.0), 6)
+
+# every public function that takes max_n, returning its values
+WITH_MAX_N = {
+    "log_cumulants": lambda n: cs.log_cumulants(cs.Gamma(2.0, 1.0), n).values,
+    "log_moments": lambda n: cs.log_moments(cs.Gamma(2.0, 1.0), n).values,
+    "empirical_log_moments": lambda n: cs.empirical_log_moments(SAMPLES, n).values,
+    "empirical_log_cumulants": lambda n: cs.empirical_log_cumulants(SAMPLES, n).values,
+    "log_moment_standard_errors": lambda n: cs.log_moment_standard_errors(SAMPLES, n),
+    "log_cumulant_standard_errors": lambda n: cs.log_cumulant_standard_errors(
+        SAMPLES, n
+    ),
+    "texture_log_cumulants": lambda n: cs.texture_log_cumulants(
+        DATA_CUMULANTS, cs.Gamma(2.0, 1.0), n
+    ).values,
+}
+
+
+class TestOrderLimit:
+    @pytest.mark.parametrize("name", sorted(WITH_MAX_N))
+    def test_one_limit(self, name):
+        values = WITH_MAX_N[name](6)
+        assert len(values) == 6 and all(math.isfinite(v) for v in values)
+        with pytest.raises(cs.ParameterError, match=r"^max order must be in 1\.\.6, got 7$"):
+            WITH_MAX_N[name](7)
+
+    def test_numeric_oracle_stops_at_its_stencils(self):
+        assert len(cs.log_cumulants_numeric(cs.Gamma(2.0, 1.0), 4).values) == 4
+        with pytest.raises(cs.ParameterError, match=r"^max order must be in 1\.\.4, got 5$"):
+            cs.log_cumulants_numeric(cs.Gamma(2.0, 1.0), 5)
 
 
 class TestLogStats:

@@ -129,6 +129,14 @@ class TestExtremeScales:
         assert repr(model) in str(info.value)
         assert repr(x) in str(info.value)
 
+    def test_weibull_ratio_below_the_doubles(self):
+        # x / z and b / z are taken as logs, so a subnormal x / z is no error
+        assert cs.pdf(cs.Weibull(b=1.0, z=2.0), 5e-324) == pytest.approx(0.5, rel=1e-15)
+        # ln(2 x / z^2) - (x / z)^2 to 30 digits
+        assert cs.log_pdf(cs.Rayleigh(z=2.0), 5e-324) == pytest.approx(
+            -745.133219101941207623524530568, rel=1e-15
+        )
+
     @pytest.mark.parametrize(
         "model, x, rel",
         [
@@ -353,6 +361,9 @@ def _mp_wn_pdf(model, x):
         return float(mpmath.exp(log_f))
 
 
+LARGE_SHAPES = cs.WeibullNakagami(c=286.0, alpha=158.0, b=1.0, sigma=10.0)
+
+
 class TestWeibullNakagamiDensity:
     """The texture integral against 30-digit mpmath quadrature."""
 
@@ -392,10 +403,36 @@ class TestWeibullNakagamiDensity:
                 ),
                 2.0521847421210282e17,
             ),
+            # large shapes, whose walk at x = 1 passes y = 700 (below)
+            (LARGE_SHAPES, 30.0),
+            (LARGE_SHAPES, 40.0),
+            (LARGE_SHAPES, 55.0),
         ],
     )
     def test_matches_mpmath(self, model, x):
         assert cs.pdf(model, x) == pytest.approx(_mp_wn_pdf(model, x), rel=1e-10)
+
+    def test_large_shapes_far_tail_is_zero(self):
+        # the walk passes y = 700, and ln f is -938.7 (mpmath): below e^-745,
+        # so -inf, not an overflow
+        assert cs.log_pdf(LARGE_SHAPES, 1.0) == -math.inf
+        assert cs.pdf(LARGE_SHAPES, 1.0) == 0.0
+
+    def test_small_shapes_broad_integrand(self):
+        # the texture integrand in u = ln z falls by only 9 over the 380 from
+        # its peak to u = 0, so the walk's y = 2 d passes 700.  Reference: ln f
+        # by 40-digit mpmath over 400, 1201 and 2000 equal pieces of the range
+        # where the integrand is within e^-150 of its peak, with Gauss-Legendre
+        # and tanh-sinh rules; all three agree to 25 digits.  (_mp_wn_pdf's
+        # pieces, doubling from the peak width, miss it by 1.9e-7 here.)
+        model = cs.WeibullNakagami(
+            c=0.14780136205975927,
+            alpha=0.06236477121626183,
+            b=6.070441097010868,
+            sigma=6.273557041847698,
+        )
+        log_f = cs.log_pdf(model, 1.9581185060287123e-171)
+        assert log_f == pytest.approx(343.7775395326869566265083, abs=1e-10)
 
     @settings(max_examples=12)
     @given(

@@ -214,17 +214,18 @@ SMALL_CONFIG = cs.Fig1Config(
 )
 
 TINY_CONFIG = cs.Fig1Config(M_grid=(0.5, 4.0), samples_per_point=500, seed=7)
-# figure1_experiment(TINY_CONFIG).to_csv() as computed when the texture
-# cumulants came from a second pass of empirical_log_cumulants over the data
+# figure1_experiment(TINY_CONFIG).to_csv() with the moment-cumulant
+# recursion: m4_data_theory at M=0.5 and k4_texture_est at both points are
+# within an ulp of the 50-digit conversion of the same exactly rounded sums
 TINY_CSV = (
     "M,m2_data_theory,m2_data_est,m4_data_theory,m4_data_est,"
     "k2_texture_theory,k2_texture_est,k4_texture_theory,k4_texture_est\n"
-    "0.5,7.1801361542020015,8.333234326833736,339.14794670835204,"
+    "0.5,7.1801361542020015,8.333234326833736,339.147946708352,"
     "473.2691450563638,4.93480220054468,5.90610890580338,97.40909103400242,"
-    "137.7442135876008\n"
+    "137.74421358760077\n"
     "4.0,0.6354297967510685,0.6117601183022621,1.4585633480133244,"
     "1.3822474526028599,0.28382295573711525,0.24325744476381606,"
-    "0.04486532819275508,0.04891210996243147\n"
+    "0.04486532819275508,0.048912109962431276\n"
 )
 
 
