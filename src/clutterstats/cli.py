@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
-
-import numpy as np
+from dataclasses import asdict, fields
 
 from . import estimate, mellin, models, simulate, verify
 from .errors import NonConvergenceError, NumericOverflowError, ParameterError
@@ -186,15 +184,8 @@ def _cmd_cumulants(ns) -> int:
             raise _UsageError("--convention paper-eq6 supports orders up to 4")
         stats = mellin.convert(stats, KIND_LOG_CUMULANTS, CONVENTION_PAPER_EQ6)
     if ns.format == "json":
-        print(
-            json.dumps(
-                {
-                    "kind": stats.kind,
-                    "convention": stats.convention,
-                    "values": list(stats.values),
-                }
-            )
-        )
+        record = {"kind": stats.kind, "convention": stats.convention}
+        print(json.dumps({**record, "values": list(stats.values)}))
     else:
         print("order,value")
         for order, value in enumerate(stats.values, start=1):
@@ -253,9 +244,7 @@ def _parse_grid(spec: str):
         raise _UsageError(f"--m-grid must be lo:hi:points, got {spec!r}") from None
     if points < 1 or lo <= 0 or hi < lo:
         raise _UsageError(f"invalid grid {spec!r}")
-    if points == 1:
-        return (lo,)
-    return tuple(np.geomspace(lo, hi, points))
+    return simulate._log_grid(lo, hi, points)
 
 
 def _cmd_figure1(ns) -> int:
@@ -277,24 +266,8 @@ def _cmd_verify(ns) -> int:
     checks = verify.run_suite(ns.tolerance)
     ok = all(check.passed for check in checks)
     if ns.format == "json":
-        print(
-            json.dumps(
-                {
-                    "passed": ok,
-                    "tolerance": ns.tolerance,
-                    "checks": [
-                        {
-                            "name": c.name,
-                            "error": c.error,
-                            "tolerance": c.tolerance,
-                            "passed": c.passed,
-                            "detail": c.detail,
-                        }
-                        for c in checks
-                    ],
-                }
-            )
-        )
+        records = [asdict(c) for c in checks]
+        print(json.dumps({"passed": ok, "tolerance": ns.tolerance, "checks": records}))
     else:
         width = max(len(c.name) for c in checks)
         for c in checks:

@@ -19,21 +19,21 @@ these sums for every family; a family only names which factor slot each of
 its shapes sets (a or q), which fields the fit pins, and its scale field.
 k2, less what the fixed factors give, is split between the free shapes and
 each share inverted (psi'^(-1) for an a, a square root for a q); with two
-shapes, k3 picks the split by an array scan and brentq, and k4, when given,
-picks between two solutions.  The fitted shapes are inverted to machine
-precision, because k2 grows like 1/a^2 for small a and the fit's residual
-check is absolute.  The scale then follows from k1.
+shapes, k3 picks the split by an array scan and bracketed Newton steps on
+every sign change, and k4, when given, picks between two solutions.  Shapes
+are inverted to machine precision, because k2 grows like 1/a^2 for small a
+and the fit's residual check is absolute.  The scale then follows from k1.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from . import mellin
 from .errors import (
@@ -61,6 +61,7 @@ from .models import (
     Rayleigh,
     Weibull,
     WeibullNakagami,
+    model_to_dict,
 )
 from .specfun import _polygamma_kernel, polygamma
 
@@ -83,13 +84,11 @@ DEFAULT_FIT_TOL = 1e-8
 
 _TRIGAMMA_LO = 1e-8
 _TRIGAMMA_HI = 1e8
-_TRIGAMMA_MAX_ITER = 200
-# residual of invert_trigamma and of the fit's k3 scan, relative to y
-_TRIGAMMA_RTOL = 1e-10
-# residual of the fit's own shapes, relative to y: a few times the rounding
+_MAX_NEWTON_STEPS = 200
+# residual of the trigamma inversion, relative to y: a few times the rounding
 # of psi' itself (at the best double x, psi' can still be about 10 eps from
 # y), so Newton reaches it without stalling anywhere in the box
-_TRIGAMMA_RTOL_EXACT = 32.0 * np.finfo(float).eps
+_TRIGAMMA_RTOL = 32.0 * np.finfo(float).eps
 # psi' at the ends of the box, the range of values the inversion accepts
 _TRIGAMMA_TOP = polygamma(1, _TRIGAMMA_LO)
 _TRIGAMMA_FLOOR = polygamma(1, _TRIGAMMA_HI)
@@ -131,9 +130,9 @@ class FitReport:
     residual is the largest absolute mismatch between the input log-cumulants
     and the fitted model's closed-form log-cumulants over the orders the fit
     used; converged means residual <= the configured tolerance.  iterations
-    counts solver steps: brentq iterations over every bracket solved, the
-    extremum search's evaluations when it runs, and the Newton steps of the
-    final trigamma inversions (0 for closed-form fits).
+    counts solver steps: the rounds of Newton steps on the shape split, its
+    rescans, and the Newton steps of the final trigamma inversions (0 for
+    closed-form fits).
     """
 
     model: ClutterModel
@@ -142,8 +141,6 @@ class FitReport:
     converged: bool
 
     def to_dict(self) -> dict:
-        from .models import model_to_dict
-
         record = model_to_dict(self.model)
         record["iterations"] = int(self.iterations)
         record["residual"] = float(self.residual)
@@ -294,15 +291,13 @@ def texture_log_cumulants(
     return LogStats(KIND_LOG_CUMULANTS, CONVENTION_STANDARD, values)
 
 
-def _invert_trigamma(
-    y, rtol: float = _TRIGAMMA_RTOL
-) -> Tuple[np.ndarray, int]:
+def _invert_trigamma(y) -> Tuple[np.ndarray, int]:
     """x with psi'(x) = y elementwise, and the number of Newton steps taken.
 
     Every element runs Newton's method on 1/psi'(x) = 1/y (as limma's
     trigammaInverse does; Smyth 2004) until its residual |psi'(x) - y| is at
-    most rtol * y, and then stays fixed; the step count is that of the
-    slowest element.  The seed is the inverse of psi'(x) ~ 1/x^2 + pi^2/6
+    most _TRIGAMMA_RTOL * y, and then stays fixed; the step count is that
+    of the slowest element.  The seed is the inverse of psi'(x) ~ 1/x^2 + pi^2/6
     for y > 2.5 (small x), else of psi'(x) ~ 1/x + 1/(2x^2) (large x).
     1/psi' is increasing and convex on (0, inf) (2 psi''^2 > psi' psi'''),
     so its tangent lies below it: after at most one step every iterate is
@@ -323,9 +318,9 @@ def _invert_trigamma(
         y > 2.5, 1.0 / np.sqrt(np.maximum(y, 2.5) - _PI2_6), 1.0 / y + 0.5
     )
     active = np.ones(y.shape, dtype=bool)
-    for steps in range(_TRIGAMMA_MAX_ITER):
+    for steps in range(_MAX_NEWTON_STEPS):
         d1 = _polygamma_kernel(1, x)
-        active &= ~(np.abs(d1 - y) <= rtol * y)
+        active &= ~(np.abs(d1 - y) <= _TRIGAMMA_RTOL * y)
         if not active.any():
             return x, steps
         step = d1 * (1.0 - d1 / y) / _polygamma_kernel(2, x)
@@ -336,7 +331,7 @@ def _invert_trigamma(
 
 
 def invert_trigamma(y: float) -> float:
-    """x with psi'(x) = y, to relative residual 1e-10."""
+    """x with psi'(x) = y, to a relative residual of 32 machine epsilons."""
     return float(_invert_trigamma(float(y))[0])
 
 
@@ -383,7 +378,9 @@ _FIT_SPECS = {
 }
 
 _SCAN_POINTS = 257
-_BRENTQ = {"xtol": 1e-15, "rtol": 8.9e-16, "maxiter": 200, "full_output": True}
+# the step, relative to t, at which a Newton root of the shape split is done,
+# and the window, relative to its end, at which a rescan gives up
+_SPLIT_RTOL = 4.0 * np.finfo(float).eps
 
 
 def _molc_solve(spec: _FitSpec, k: Sequence[float]):
@@ -404,35 +401,27 @@ def _molc_solve(spec: _FitSpec, k: Sequence[float]):
                 f"fixed factors of {spec.model.family!r} give"
             )
 
-        def slots(t, rtol=_TRIGAMMA_RTOL):
-            """(a, q) of each free slot when the first takes share t of the
-            k2 left over, and the Newton steps this took."""
+        def slots(t):
+            """(a, q, y = psi'(a) / q^2) of each free slot when the first takes
+            share t of the k2 left over, and the Newton steps this took."""
             values, steps = [], 0
             shares = (t * rest, (1.0 - t) * rest)
             for (_, slot, kind), y in zip(spec.free, shares):
                 a, q = gammas[slot]
                 if kind == "a":
-                    a, n = _invert_trigamma(q * q * y, rtol)
+                    a, n = _invert_trigamma(q * q * y)
                     steps += n
                 else:
                     q = np.sqrt(polygamma(1, a) / y)
-                values.append((a, q))
+                values.append((a, q, y))
             return values, steps
-
-        def residual(t, n, rtol=_TRIGAMMA_RTOL):
-            """k_n of the split t minus the given k_n."""
-            terms = fixed + slots(t, rtol)[0]
-            total = sum(_polygamma_kernel(n - 1, a) / q**n for a, q in terms)
-            return total - k[n - 1]
 
         t = 1.0
         if len(spec.free) == 2:
-            t, iterations = _shape_split(spec, gammas, k, rest, residual)
-        # k2 grows like 1/a^2 and the residual check is absolute, so the
-        # fitted shapes are inverted to machine precision
-        values, steps = slots(t, _TRIGAMMA_RTOL_EXACT)
+            t, iterations = _shape_split(spec, gammas, fixed, k, rest, slots)
+        values, steps = slots(t)
         iterations += steps
-        for (name, _, kind), (a, q) in zip(spec.free, values):
+        for (name, _, kind), (a, q, _) in zip(spec.free, values):
             fields[name] = float(a if kind == "a" else q)
     unit = spec.model(**fields, **{spec.scale: 1.0})
     k1_unit = mellin.log_cumulants(unit, 1).values[0]
@@ -440,81 +429,101 @@ def _molc_solve(spec: _FitSpec, k: Sequence[float]):
     return spec.model(**fields), iterations
 
 
-def _shape_split(spec: _FitSpec, gammas, k, rest: float, residual):
+def _shape_split(spec: _FitSpec, gammas, fixed, k, rest: float, slots):
     """The share t of the leftover k2 taken by the first of two free shapes
     that reproduces k3, and the solver iterations spent.
 
-    Every sign change of the k3 residual over one array scan of t is solved
-    by brentq.  Roots are kept in ascending t; when there are several and k4
-    is given, the one whose k4 matches best comes first.
+    Every sign change of the k3 residual over an array scan of t is solved by
+    _bracketed_newton.  Roots are kept in ascending t; when there are several
+    and k4 is given, the one whose k4 matches best comes first.
     """
     k2, k3 = k[1], k[2]
+
+    def k_sum(values, n):  # k_n of the fixed factors and the free (a, q, y)
+        return sum(_polygamma_kernel(n - 1, a) / q**n for a, q, *_ in fixed + values)
+
+    def residual(t):
+        """k3 of the split t less the given k3, and its slope in t."""
+        total, rates = k_sum([], 3), []
+        for (_, _, kind), (a, q, y) in zip(spec.free, slots(t)[0]):
+            d2 = _polygamma_kernel(2, a)
+            total = total + d2 / q**3
+            # d(psi''(a) / q^3) / dy along psi'(a) / q^2 = y, setting a or q
+            if kind == "a":
+                rates.append(_polygamma_kernel(3, a) / (q * d2))
+            else:
+                rates.append(1.5 * d2 / (q**3 * y))
+        return total - k3, rest * (rates[0] - rates[1])
 
     def min_share(slot: int, kind: str) -> float:
         # the share that keeps a = psi'^-1(q^2 y) inside the inversion box,
         # or q = sqrt(psi'(a) / y) at most 1e6
         a, q = gammas[slot]
-        if kind == "a":
-            return 1.01 * _TRIGAMMA_FLOOR / q**2
-        return polygamma(1, a) / 1e12
+        return 1.01 * _TRIGAMMA_FLOOR / q**2 if kind == "a" else polygamma(1, a) / 1e12
 
     (_, first, first_kind), (_, second, second_kind) = spec.free
     # Two free a's with equal q are interchangeable (gamma-gamma).  Scanning
     # only t >= 1/2 gives the first the larger psi', so the smaller a.
-    tie = (
-        first_kind == second_kind == "a"
-        and gammas[first][1] == gammas[second][1]
-    )
-    t_lo = 0.5 if tie else max(1e-12, min_share(first, first_kind) / rest)
-    t_hi = 1.0 - max(1e-12, min_share(second, second_kind) / rest)
-    if not t_lo < t_hi:
+    tie = first_kind == second_kind == "a" and gammas[first][1] == gammas[second][1]
+    lo = 0.5 if tie else max(1e-12, min_share(first, first_kind) / rest)
+    hi = 1.0 - max(1e-12, min_share(second, second_kind) / rest)
+    if not lo < hi:
         raise InfeasibleCumulantsError(f"k2={k2:g} admits no shape split")
-    grid = np.linspace(t_lo, t_hi, _SCAN_POINTS)
-    g = residual(grid, 3)
-    if tie and abs(g[0]) <= 1e-9 * abs(k3):
-        # equal shapes: the root at t = 1/2 is where the swapped pair of
-        # roots meets, and the residual only touches zero there
-        g[0] = 0.0
-    roots = list(grid[g == 0.0])
-    iterations = 0
-
-    # brentq solves for the shapes the fit returns, inverted to machine
-    # precision; the scan only needs the signs
-    def g_at(t: float) -> float:
-        return float(residual(t, 3, _TRIGAMMA_RTOL_EXACT))
-
-    def solve(lo: float, hi: float) -> None:
-        nonlocal iterations
-        t_star, info = brentq(g_at, lo, hi, **_BRENTQ)
-        if not info.converged:
-            raise NonConvergenceError("shape solve did not converge")
-        roots.append(t_star)
-        iterations += info.iterations
-
-    for i in np.flatnonzero(g[:-1] * g[1:] < 0.0):
-        solve(grid[i], grid[i + 1])
-    if not roots:
+    for rescans in itertools.count():
+        grid = np.linspace(lo, hi, _SCAN_POINTS)
+        g = residual(grid)[0]
+        if tie and grid[0] == 0.5 and abs(g[0]) <= 1e-9 * abs(k3):
+            # equal shapes: the root at t = 1/2 is where the swapped pair of
+            # roots meets, and the residual only touches zero there
+            g[0] = 0.0
+        cells = np.flatnonzero(g[:-1] * g[1:] < 0.0)
+        if cells.size or (g == 0.0).any():
+            break
         # Two roots can share one scan cell, next to the grid point of least
-        # |g|: the residual keeps its sign on the grid and crosses zero only
-        # around its extremum there.  Find the extremum and bracket each side.
+        # |g|, where the residual has its extremum.  Scan the cells on each
+        # side again, until a sign change shows or they are a few doubles wide.
         i = int(np.argmin(np.abs(g)))
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        sign = math.copysign(1.0, g[i])
-        extremum = minimize_scalar(
-            lambda t: sign * g_at(t), bounds=(lo, hi), method="bounded"
-        )
-        iterations += extremum.nfev
-        if extremum.fun < 0.0:
-            solve(lo, extremum.x)
-            solve(extremum.x, hi)
-    if not roots:
-        raise InfeasibleCumulantsError(
-            f"no positive shapes reproduce (k2, k3) = ({k2:g}, {k3:g})"
-        )
-    roots.sort()
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        if hi - lo <= _SPLIT_RTOL * hi:
+            raise InfeasibleCumulantsError(
+                f"no positive shapes reproduce (k2, k3) = ({k2:g}, {k3:g})"
+            )
+    roots, rounds = _bracketed_newton(
+        residual, grid[cells], grid[cells + 1], g[cells], g[cells + 1]
+    )
+    roots = sorted([*grid[g == 0.0], *roots])
     if len(roots) > 1 and len(k) >= 4:
-        roots.sort(key=lambda t: abs(float(residual(t, 4))))
-    return roots[0], iterations
+        roots.sort(key=lambda t: abs(k_sum(slots(t)[0], 4) - k[3]))
+    return roots[0], rescans + rounds
+
+
+def _bracketed_newton(f, lo, hi, f_lo, f_hi):
+    """Roots of f in the cells [lo, hi] (t > 0), over each of which f changes
+    sign, and the rounds taken; f(t) gives f and its slope for an array t.
+
+    Each cell runs Newton's method from its secant point, safeguarded as in
+    Brent (1973): a step that would leave the cell bisects it instead, and
+    each evaluation moves the end whose f has the same sign to t.  A root is
+    done once its step is at most _SPLIT_RTOL * t, or f is 0, and then stays
+    fixed, so each cell iterates on its own.
+    """
+    t = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    lo_negative = f_lo < 0.0
+    active, rounds = np.ones(t.shape, dtype=bool), 0
+    while active.any():
+        if rounds == _MAX_NEWTON_STEPS:
+            raise NonConvergenceError("shape solve did not converge")
+        rounds += 1
+        g, slope = f(t)
+        left = (g < 0.0) == lo_negative
+        lo, hi = np.where(left, t, lo), np.where(left, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(g == 0.0, 0.0, g / slope)
+        inside = (step == 0.0) | (lo < t - step) & (t - step < hi)
+        step = np.where(active, np.where(inside, step, t - 0.5 * (lo + hi)), 0.0)
+        active &= abs(step) > _SPLIT_RTOL * t
+        t = t - step
+    return t, rounds
 
 
 def fit_molc(
@@ -595,6 +604,10 @@ def load_samples_csv(path) -> SampleSet:
         for row_number, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != 1:
+                raise ParameterError(
+                    f"{path}:{row_number}: expected one field, got {row!r}"
+                )
             try:
                 values.append(float(row[0]))
             except ValueError:

@@ -392,9 +392,7 @@ def _(model: Maxwell, x: float) -> float:
     )
 
 
-@_pdf.register
-def _(model: Weibull, x: float) -> float:
-    b, z = model.b, model.z
+def _weibull_log_pdf(b: float, z: float, x: float) -> float:
     log_ratio = _quotient((x,), (z,))[1]
     t = b * log_ratio
     if t > _LOG_MAX:
@@ -403,8 +401,13 @@ def _(model: Weibull, x: float) -> float:
 
 
 @_pdf.register
+def _(model: Weibull, x: float) -> float:
+    return _weibull_log_pdf(model.b, model.z, x)
+
+
+@_pdf.register
 def _(model: Rayleigh, x: float) -> float:
-    return _pdf(Weibull(b=2.0, z=model.z), x)
+    return _weibull_log_pdf(2.0, model.z, x)
 
 
 @_pdf.register

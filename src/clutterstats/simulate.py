@@ -154,11 +154,19 @@ def sample_product(
 # log-moments and texture log-cumulants against the closed forms.
 
 
+def _log_grid(lo: float, hi: float, points: int) -> Tuple[float, ...]:
+    """points log-spaced values lo * 2^(log2(hi / lo) * i / (points - 1)) from
+    lo to hi inclusive, exact wherever that exponent is an exact integer."""
+    span = math.log2(hi / lo)
+    inner = (lo * 2.0 ** (span * i / (points - 1)) for i in range(1, points - 1))
+    return (lo, *inner, hi) if points > 1 else (lo,)
+
+
 def default_m_grid() -> Tuple[float, ...]:
     """13 log-spaced points on [0.25, 16] (ratio sqrt(2)); contains 0.25,
     0.5, 1, 2, 4, 8 and 16 exactly, spanning the spiky (M < 1) regime through
     the near-Gaussian large-M regime."""
-    return tuple(0.25 * 2.0 ** (i / 2.0) for i in range(13))
+    return _log_grid(0.25, 16.0, 13)
 
 
 @dataclass(frozen=True)

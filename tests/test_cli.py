@@ -285,6 +285,12 @@ class TestFigure1Command:
         records = json.loads(out)
         assert [r["M"] for r in records] == pytest.approx([1.0, 2.0, 4.0])
 
+    def test_default_grid(self, capsys):
+        code, out, _ = invoke(capsys, "figure1", "--n", "200", "--seed", "3")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert tuple(float(row.split(",")[0]) for row in rows) == cs.default_m_grid()
+
     def test_bad_grid_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "figure1", "--m-grid", "oops", "--n", "10")
         assert code == 1
