@@ -5,171 +5,27 @@ high-resolution radar work: closed-form second-kind characteristic
 functions, classical moments, log-moments and log-cumulants, empirical
 estimation with texture/speckle separation, method-of-log-cumulants
 parameter fitting, and a reproducible simulation harness.
+
+The package exports each module's __all__, so a public name is declared
+once, in the module that defines it.
 """
 
-from .errors import (
-    ClutterStatsError,
-    EmptySampleError,
-    InfeasibleCumulantsError,
-    MomentDivergesError,
-    NonConvergenceError,
-    NotCompoundError,
-    NumericOverflowError,
-    ParameterError,
-    StripError,
-)
-from .specfun import (
-    DEFAULT_TOLERANCE,
-    Tolerance,
-    bessel_k,
-    derivative_at,
-    digamma,
-    log_gamma,
-    polygamma,
-)
-from .models import (
-    FAMILIES,
-    ClutterModel,
-    Decomposition,
-    Exponential,
-    Fisher,
-    Gamma,
-    GammaGamma,
-    InverseGamma,
-    KAmplitude,
-    Maxwell,
-    Nakagami,
-    Rayleigh,
-    Weibull,
-    WeibullNakagami,
-    decompose,
-    log_pdf,
-    model_from_dict,
-    model_to_dict,
-    pdf,
-)
-from .mellin import (
-    CONVENTION_PAPER_EQ6,
-    CONVENTION_STANDARD,
-    KIND_LOG_CUMULANTS,
-    KIND_LOG_MOMENTS,
-    AnalyticityStrip,
-    LogStats,
-    analyticity_strip,
-    classical_moment,
-    convert,
-    log_cumulants,
-    log_cumulants_numeric,
-    log_moments,
-    phi,
-    phi_numeric,
-    psi,
-)
-from .estimate import (
-    FitReport,
-    SampleSet,
-    empirical_log_cumulants,
-    empirical_log_moments,
-    fit_molc,
-    invert_trigamma,
-    load_samples_csv,
-    log_cumulant_standard_errors,
-    log_moment_standard_errors,
-    save_samples_csv,
-    texture_log_cumulants,
-)
-from .simulate import (
-    FIG1_COLUMNS,
-    Fig1Config,
-    Fig1Row,
-    Fig1Table,
-    RngState,
-    default_m_grid,
-    figure1_experiment,
-    figure1_point_samples,
-    sample,
-    sample_product,
-)
+from . import errors, specfun, models, mellin, estimate, simulate
+from .errors import *  # noqa: F403
+from .specfun import *  # noqa: F403
+from .models import *  # noqa: F403
+from .mellin import *  # noqa: F403
+from .estimate import *  # noqa: F403
+from .simulate import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "ClutterStatsError",
-    "ParameterError",
-    "StripError",
-    "MomentDivergesError",
-    "NotCompoundError",
-    "InfeasibleCumulantsError",
-    "EmptySampleError",
-    "NonConvergenceError",
-    "NumericOverflowError",
-    # special functions and oracles
-    "Tolerance",
-    "DEFAULT_TOLERANCE",
-    "log_gamma",
-    "digamma",
-    "polygamma",
-    "bessel_k",
-    "derivative_at",
-    # models
-    "ClutterModel",
-    "Decomposition",
-    "FAMILIES",
-    "Exponential",
-    "Gamma",
-    "Nakagami",
-    "Maxwell",
-    "Weibull",
-    "Rayleigh",
-    "GammaGamma",
-    "KAmplitude",
-    "WeibullNakagami",
-    "Fisher",
-    "InverseGamma",
-    "log_pdf",
-    "pdf",
-    "decompose",
-    "model_to_dict",
-    "model_from_dict",
-    # transforms and log-statistics
-    "AnalyticityStrip",
-    "LogStats",
-    "KIND_LOG_MOMENTS",
-    "KIND_LOG_CUMULANTS",
-    "CONVENTION_STANDARD",
-    "CONVENTION_PAPER_EQ6",
-    "analyticity_strip",
-    "phi",
-    "psi",
-    "phi_numeric",
-    "classical_moment",
-    "log_cumulants",
-    "log_cumulants_numeric",
-    "log_moments",
-    "convert",
-    # estimation
-    "SampleSet",
-    "FitReport",
-    "empirical_log_moments",
-    "empirical_log_cumulants",
-    "log_moment_standard_errors",
-    "log_cumulant_standard_errors",
-    "texture_log_cumulants",
-    "invert_trigamma",
-    "fit_molc",
-    "load_samples_csv",
-    "save_samples_csv",
-    # simulation
-    "RngState",
-    "Fig1Config",
-    "Fig1Row",
-    "Fig1Table",
-    "FIG1_COLUMNS",
-    "default_m_grid",
-    "sample",
-    "sample_product",
-    "figure1_experiment",
-    "figure1_point_samples",
+    *errors.__all__,
+    *specfun.__all__,
+    *models.__all__,
+    *mellin.__all__,
+    *estimate.__all__,
+    *simulate.__all__,
 ]

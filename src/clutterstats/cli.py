@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 
 from . import estimate, mellin, models, simulate, verify
 from .errors import NonConvergenceError, NumericOverflowError, ParameterError
@@ -139,13 +139,12 @@ def _model_from_flags(ns: argparse.Namespace) -> models.ClutterModel:
             f"family {name!r} does not take --{sorted(extra)[0]} "
             f"(its parameters: {', '.join(sorted(expected))})"
         )
-    record = {"family": name, **given}
-    try:
-        return models.model_from_dict(record)
-    except ParameterError as exc:
-        if "requires parameters" in str(exc):
-            raise _UsageError(str(exc)) from exc
-        raise
+    missing = sorted(
+        f.name for f in fields(cls) if f.default is MISSING and f.name not in given
+    )
+    if missing:
+        raise _UsageError(f"family {name!r} requires parameters {missing}")
+    return models.model_from_dict({"family": name, **given})
 
 
 def _emit_value(ns: argparse.Namespace, value: float) -> None:

@@ -4,6 +4,18 @@ The CLI maps these onto exit codes: parameter/domain problems exit 3,
 numerical failures (non-convergence, overflow) exit 2.
 """
 
+__all__ = [
+    "ClutterStatsError",
+    "ParameterError",
+    "StripError",
+    "MomentDivergesError",
+    "NotCompoundError",
+    "InfeasibleCumulantsError",
+    "EmptySampleError",
+    "NonConvergenceError",
+    "NumericOverflowError",
+]
+
 
 class ClutterStatsError(Exception):
     """Base class for all toolkit errors."""

@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -241,6 +242,14 @@ def empirical_log_cumulants(samples: SampleSet, max_n: int) -> LogStats:
 
 
 def _batch_standard_errors(samples: SampleSet, max_n: int, batches: int, statfn):
+    if not isinstance(samples, SampleSet):
+        samples = SampleSet(samples)
+    try:
+        if isinstance(batches, bool):
+            raise TypeError
+        batches = operator.index(batches)
+    except TypeError:
+        raise ParameterError(f"batches must be an integer, got {batches!r}") from None
     if batches < 2:
         raise ParameterError("need at least 2 batches")
     if samples.count < 2 * batches:
@@ -259,7 +268,8 @@ def log_moment_standard_errors(
     samples: SampleSet, max_n: int, batches: int = 10
 ) -> Tuple[float, ...]:
     """Monte-Carlo standard errors of the empirical log-moments, estimated by
-    splitting the sample into contiguous batches."""
+    splitting the sample (a SampleSet or an array of values) into batches
+    contiguous batches; batches must be an integer >= 2."""
     return _batch_standard_errors(samples, max_n, batches, empirical_log_moments)
 
 
@@ -274,6 +284,10 @@ def texture_log_cumulants(
     data_cumulants: LogStats, speckle: ClutterModel, max_n: int
 ) -> LogStats:
     """Texture log-cumulants by additivity: data minus closed-form speckle."""
+    if not isinstance(data_cumulants, LogStats):
+        raise ParameterError(
+            f"expected LogStats, got {type(data_cumulants).__name__}"
+        )
     speckle_cumulants = mellin.log_cumulants(speckle, max_n)
     if data_cumulants.kind != KIND_LOG_CUMULANTS:
         raise ParameterError("data statistics must be log-cumulants")

@@ -14,10 +14,9 @@ compound and sample_product of its components are one path.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Tuple
 
 import numpy as np
@@ -196,19 +195,6 @@ class Fig1Config:
         object.__setattr__(self, "seed", self.seed & _MASK64)
 
 
-FIG1_COLUMNS = (
-    "M",
-    "m2_data_theory",
-    "m2_data_est",
-    "m4_data_theory",
-    "m4_data_est",
-    "k2_texture_theory",
-    "k2_texture_est",
-    "k4_texture_theory",
-    "k4_texture_est",
-)
-
-
 @dataclass(frozen=True)
 class Fig1Row:
     M: float
@@ -222,6 +208,9 @@ class Fig1Row:
     k4_texture_est: float
 
 
+FIG1_COLUMNS = tuple(f.name for f in fields(Fig1Row))
+
+
 @dataclass(frozen=True)
 class Fig1Table:
     """One row per grid point, in grid order."""
@@ -229,20 +218,12 @@ class Fig1Table:
     rows: Tuple[Fig1Row, ...]
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(",".join(FIG1_COLUMNS) + "\n")
-        for row in self.rows:
-            out.write(
-                ",".join(repr(getattr(row, name)) for name in FIG1_COLUMNS) + "\n"
-            )
-        return out.getvalue()
+        lines = [",".join(FIG1_COLUMNS)]
+        lines += (",".join(map(repr, astuple(row))) for row in self.rows)
+        return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        records = [
-            {name: getattr(row, name) for name in FIG1_COLUMNS}
-            for row in self.rows
-        ]
-        return json.dumps(records, indent=2)
+        return json.dumps([asdict(row) for row in self.rows], indent=2)
 
 
 def _point_rng(config: Fig1Config, index: int) -> RngState:

@@ -161,7 +161,7 @@ class TestExitCodes:
     def test_missing_parameter_is_one(self, capsys):
         code, _, err = invoke(capsys, "phi", "--model", "gamma", "--L", "2", "--s", "1")
         assert code == 1
-        assert "requires parameters" in err
+        assert err == "clutterstats: error: family 'gamma' requires parameters ['mu']\n"
 
     def test_wrong_parameter_is_one(self, capsys):
         code, _, err = invoke(

@@ -147,6 +147,26 @@ class TestEmpiricalLogCumulants:
         assert abs(stats.values[1] - expected) <= 3.0 * se
 
 
+class TestStandardErrors:
+    SAMPLES = cs.sample(cs.Gamma(L=2.0, mu=1.0), 1000, cs.RngState(7))
+
+    @pytest.mark.parametrize(
+        "errors", [cs.log_moment_standard_errors, cs.log_cumulant_standard_errors]
+    )
+    def test_array_input_matches_sample_set(self, errors):
+        assert errors(self.SAMPLES.values, 3) == errors(self.SAMPLES, 3)
+
+    @pytest.mark.parametrize("batches", [2.5, 4.0, True, "4", None])
+    def test_batches_must_be_an_integer(self, batches):
+        with pytest.raises(cs.ParameterError, match="batches must be an integer"):
+            cs.log_moment_standard_errors(self.SAMPLES, 2, batches=batches)
+
+    def test_numpy_integer_batches(self):
+        assert cs.log_cumulant_standard_errors(
+            self.SAMPLES, 2, batches=np.int64(4)
+        ) == cs.log_cumulant_standard_errors(self.SAMPLES, 2, batches=4)
+
+
 class TestTextureLogCumulants:
     def test_speckle_only_is_zero(self):
         speckle = cs.Gamma(L=4.0, mu=1.0)
@@ -175,6 +195,11 @@ class TestTextureLogCumulants:
         data = cs.LogStats("log_cumulants", "paper_eq6", (0.0, 1.0))
         with pytest.raises(cs.ParameterError):
             cs.texture_log_cumulants(data, cs.Rayleigh(1.0), 2)
+
+    def test_requires_log_stats(self):
+        data = cs.log_cumulants(cs.Gamma(L=4.0, mu=1.0), 4).values
+        with pytest.raises(cs.ParameterError, match="expected LogStats, got tuple"):
+            cs.texture_log_cumulants(data, cs.Gamma(L=4.0, mu=1.0), 4)
 
 
 class TestInvertTrigamma:
