@@ -83,7 +83,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--numeric",
         action="store_true",
-        help="use the central-difference oracle instead of closed forms",
+        help="use the Cauchy-integral oracle instead of closed forms",
     )
     _add_format_flag(p)
 

@@ -20,8 +20,8 @@ Two numerical routes double-check the closed forms: direct quadrature of
 the transform integral over the log-density (phi_numeric, which takes only
 the strip from the table; its exponent in ln x is concave, since ln X of a
 product of gamma powers has a log-concave density, and a density that broke
-that would fail the check, not pass it) and central-difference derivatives
-of Psi (log_cumulants_numeric, which checks the cumulant sums against Psi).
+that would fail the check, not pass it) and Cauchy integrals of each gamma
+factor's ln Gamma about s = 1 (log_cumulants_numeric, to order 6).
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from scipy.special import gamma as sc_gamma
+import numpy as np
+from scipy.special import gamma as sc_gamma, loggamma
 
 from .errors import (
     MomentDivergesError,
@@ -54,7 +55,6 @@ from .specfun import (
     DEFAULT_TOLERANCE,
     Tolerance,
     _log_concave_integral,
-    derivative_at,
     log_gamma,
     polygamma,
 )
@@ -310,83 +310,86 @@ def classical_moment(model: ClutterModel, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Log-cumulants: exact derivatives of the factor-table Psi at s = 1,
-# machine-checked against log_cumulants_numeric.
+# Log-cumulants: exact derivatives of the factor-table Psi at s = 1, and
+# the same derivatives as Cauchy integrals of ln Gamma, which check them.
 
 
 _MAX_ORDER = 6  # of every log-statistic, closed-form, converted or empirical
 
 
-def _check_max_n(max_n: int, limit: int = _MAX_ORDER) -> int:
+def _check_max_n(max_n: int) -> int:
     if isinstance(max_n, bool) or not isinstance(max_n, int):
         raise ParameterError(f"max order must be an integer, got {max_n!r}")
-    if not 1 <= max_n <= limit:
-        raise ParameterError(f"max order must be in 1..{limit}, got {max_n}")
+    if not 1 <= max_n <= _MAX_ORDER:
+        raise ParameterError(f"max order must be in 1..{_MAX_ORDER}, got {max_n}")
     return max_n
+
+
+def _log_cumulant_stats(model: ClutterModel, values) -> LogStats:
+    """LogStats of log-cumulants, or NumericOverflowError naming the model and
+    the first order that is not a finite double, which LogStats rejects."""
+    try:
+        return LogStats(KIND_LOG_CUMULANTS, CONVENTION_STANDARD, tuple(values))
+    except ParameterError:
+        n = next(n for n, v in enumerate(values, start=1) if not math.isfinite(v))
+        raise NumericOverflowError(
+            f"log-cumulant of order {n} of {model!r} is not a finite double"
+        ) from None
 
 
 def log_cumulants(model: ClutterModel, max_n: int) -> LogStats:
     """Log-cumulants of orders 1..max_n (max_n up to 6), in closed form.
 
     k_n = sum over gamma factors of q^(-n) psi^(n-1)(a); k_1 also carries the
-    scale, sum over power terms of e ln(base).
+    scale, sum over power terms of e ln(base).  A valid model whose k_n is
+    not a finite double raises NumericOverflowError.
     """
-    _check_max_n(max_n)
     powers, gammas = factor_table(model)
     gammas = sorted(gammas)
     values = []
-    for n in range(1, max_n + 1):
-        total = 0.0
-        if n == 1:
-            for num, den, e in powers:
-                total += e * math.log(num / den)
-        for a, q in gammas:
-            value = polygamma(n - 1, a)
-            total += value / q if n == 1 else q ** (-n) * value
-        values.append(total)
-    return LogStats(KIND_LOG_CUMULANTS, CONVENTION_STANDARD, tuple(values))
+    try:
+        for n in range(1, _check_max_n(max_n) + 1):
+            total = 0.0
+            if n == 1:
+                for num, den, e in powers:
+                    total += e * math.log(num / den)
+            for a, q in gammas:
+                value = polygamma(n - 1, a)
+                total += value / q if n == 1 else q ** (-n) * value
+            values.append(total)
+    except OverflowError:
+        values.append(math.inf)
+    return _log_cumulant_stats(model, values)
 
 
-# Step sizes for the differentiation oracle, chosen per order so truncation
-# (O(h^2), or O(h^4) after Richardson) and round-off are both well below the
-# documented agreement bounds (1e-5 for orders 1-2, 1e-3 for orders 3-4).
-_NUMERIC_STEPS = {1: 1e-5, 2: 1e-4, 3: 8e-3, 4: 8e-3}
+_CIRCLE = np.exp(2j * np.pi * np.arange(64) / 64)  # the 64th roots of unity
 
 
 def log_cumulants_numeric(model: ClutterModel, max_n: int) -> LogStats:
-    """Log-cumulants estimated as central-difference derivatives of Psi at s=1.
-
-    Orders 3 and 4 combine stencils at h and h/2 (one Richardson step); plain
-    O(h^2) differences cannot reach the 1e-3 bound for shape parameters near
-    0.5, where the sixth derivative of Psi is of order 1e4.
+    """Log-cumulants of orders 1..max_n (max_n up to 6), as Taylor
+    coefficients of Psi at s = 1 by Cauchy's integral (Lyness & Moler 1967):
+    each gamma factor's ln Gamma(a + d/q) - ln Gamma(a), analytic for
+    |d| < a|q|, is taken at the 64th roots of unity on its own circle of
+    radius r = a|q|/2 (one circle for all factors would shrink to the
+    smallest, where a large shape's ln Gamma cancels), and the DFT of the
+    values is the Taylor series times 64 r^n, aliased by about 2^-64.  It
+    takes scipy's complex loggamma, never polygamma.  Raises
+    NumericOverflowError where k_n, r^n or a sample is not a finite double.
     """
-    # one step size per stencil of derivative_at, which stops at order 4
-    _check_max_n(max_n, len(_NUMERIC_STEPS))
-    strip = analyticity_strip(model)
-    margin = min(1.0 - strip.lower, strip.upper - 1.0)
-
-    def psi_at(s: float) -> float:
-        return psi(model, s)
-
-    def estimate(order: int, h: float) -> float:
-        if order <= 2:
-            return derivative_at(psi_at, 1.0, order, h)
-        coarse = derivative_at(psi_at, 1.0, order, h)
-        fine = derivative_at(psi_at, 1.0, order, h / 2.0)
-        return (4.0 * fine - coarse) / 3.0
-
-    values = []
-    for order in range(1, max_n + 1):
-        h = _NUMERIC_STEPS[order]
-        reach = 2.0 * h if order >= 3 else h
-        if reach >= margin:
-            h = margin / (4.0 if order >= 3 else 2.0)
-        try:
-            values.append(estimate(order, h))
-        except StripError:
-            # stencil escaped the strip despite the margin guard: shrink once
-            values.append(estimate(order, h / 4.0))
-    return LogStats(KIND_LOG_CUMULANTS, CONVENTION_STANDARD, tuple(values))
+    values = [0.0] * _check_max_n(max_n)
+    powers, gammas = factor_table(model)
+    values[0] = sum(e * math.log(num / den) for num, den, e in powers)
+    try:
+        for a, q in sorted(gammas):
+            r = 0.5 * a * abs(q)
+            with np.errstate(all="ignore"):  # a value that is not finite raises below
+                samples = loggamma(a + (r / q) * _CIRCLE) - loggamma(a)
+                coefficients = np.fft.fft(samples).real / _CIRCLE.size
+            for n in range(1, max_n + 1):
+                values[n - 1] += math.factorial(n) * float(coefficients[n]) / r**n
+    except (OverflowError, ZeroDivisionError):
+        values[n - 1] = math.inf
+    return _log_cumulant_stats(model, values)
 
 
 def log_moments(model: ClutterModel, max_n: int) -> LogStats:

@@ -1,5 +1,5 @@
-"""Special functions, ln K_nu, the one quadrature engine (Gauss-Kronrod 7-15
-panels over the whole line for exp(g), g concave) and differentiation.
+"""Special functions, ln K_nu and the one quadrature engine (Gauss-Kronrod
+7-15 panels over the whole line for exp(g), g concave).
 
 The special functions are thin validated wrappers over scipy.special.  Where
 kve fails, ln K_nu comes from closed forms for arguments below the normal
@@ -32,9 +32,6 @@ __all__ = [
     "log_gamma",
     "digamma",
     "polygamma",
-    "bessel_k",
-    "derivative_at",
-    "default_step",
 ]
 
 MAX_POLYGAMMA_ORDER = 6
@@ -111,21 +108,6 @@ def _polygamma_kernel(order: int, x):
     """
     scale = (-1.0) ** (order + 1) * math.factorial(order)
     return scale * scipy.special.zeta(order + 1, x)
-
-
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind, K_nu(x), for x > 0.
-
-    Symmetric in nu (K_{-nu} = K_nu).  Overflow (small x with large |nu|)
-    raises instead of returning infinity.
-    """
-    x = _check_positive("x", x)
-    value = float(scipy.special.kv(nu, x))
-    if math.isinf(value):
-        raise NumericOverflowError(f"K_nu overflow for nu={nu:g}, x={x:g}")
-    if math.isnan(value):
-        raise ParameterError(f"K_nu undefined for nu={nu!r}, x={x!r}")
-    return value
 
 
 _LOG_MAX = 709.0  # exp() overflows above about this
@@ -450,45 +432,3 @@ def _log_concave_integral(g: Callable[[float], float], tol: Tolerance) -> float:
         return np.exp(np.array([[g(v) for v in row] for row in u.tolist()]) - gb)
 
     return gb + math.log(_panel_quadrature(integrand, edges, tol))
-
-
-def default_step(x0: float, order: int) -> float:
-    """Default central-difference step: balances truncation against round-off
-    at double precision.  Recorded so oracle tolerances are reproducible."""
-    if order <= 2:
-        return max(1e-5, 1e-5 * abs(x0))
-    return 1e-3
-
-
-def derivative_at(
-    f: Callable[[float], float],
-    x0: float,
-    order: int,
-    step: float | None = None,
-) -> float:
-    """Central-difference estimate of the order-th derivative of f at x0.
-
-    Stencils use 2, 3, 4 and 5 points for orders 1..4; truncation error is
-    O(step**2) in all cases.  The caller owns step selection; pass step=None
-    for the recorded defaults.
-    """
-    if order not in (1, 2, 3, 4):
-        raise ParameterError(f"derivative order must be in 1..4, got {order!r}")
-    h = default_step(x0, order) if step is None else float(step)
-    if not h > 0:
-        raise ParameterError(f"step must be > 0, got {step!r}")
-    if order == 1:
-        return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
-    if order == 2:
-        return (f(x0 + h) - 2.0 * f(x0) + f(x0 - h)) / (h * h)
-    if order == 3:
-        return (
-            f(x0 + 2 * h) - 2.0 * f(x0 + h) + 2.0 * f(x0 - h) - f(x0 - 2 * h)
-        ) / (2.0 * h**3)
-    return (
-        f(x0 + 2 * h)
-        - 4.0 * f(x0 + h)
-        + 6.0 * f(x0)
-        - 4.0 * f(x0 - h)
-        + f(x0 - 2 * h)
-    ) / h**4

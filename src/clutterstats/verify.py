@@ -2,10 +2,11 @@
 
 Three independent routes are compared on a representative parameter set per
 family: closed-form transforms against direct quadrature of the density,
-closed-form log-cumulants against central-difference derivatives, and each
-compound's hand-written density against the numeric Mellin convolution of
-its speckle and texture densities, which checks the speckle x texture
-declaration that every compound closed form is derived from.  Both
+closed-form log-cumulants to order 6 against Cauchy-integral derivatives
+(error relative to |k_n|, absolute below 1), and each compound's
+hand-written density against the numeric Mellin convolution of its speckle
+and texture densities, which checks the speckle x texture declaration that
+every compound closed form is derived from.  Both
 quadratures integrate log-densities in a log variable, with exponents that
 are concave because each family is a product of gamma powers: a density
 that broke that would fail its check, not pass it.
@@ -59,10 +60,6 @@ _S_CANDIDATES = (0.5, 1.5, 2.0, 2.5, 3.0)
 # points x at which compound densities are compared with the convolution
 _CONVOLUTION_POINTS = (0.3, 1.0, 3.0)
 
-# Agreement floors of the differentiation oracle itself; the CLI tolerance
-# cannot meaningfully go below these.
-_CUMULANT_FLOORS = {1: 1e-5, 2: 1e-5, 3: 1e-3, 4: 1e-3}
-
 _QUAD_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=400)
 
 
@@ -105,12 +102,10 @@ def _transform_rows(model: ClutterModel, tolerance: float):
 
 
 def _cumulant_rows(model: ClutterModel, tolerance: float):
-    orders = len(_CUMULANT_FLOORS)  # every order the numeric oracle reaches
-    closed = mellin.log_cumulants(model, orders).values
-    numeric = mellin.log_cumulants_numeric(model, orders).values
-    for order, floor in _CUMULANT_FLOORS.items():
-        err = abs(closed[order - 1] - numeric[order - 1])
-        yield f"order {order}", err, max(tolerance, floor)
+    closed = mellin.log_cumulants(model, mellin._MAX_ORDER).values
+    numeric = mellin.log_cumulants_numeric(model, mellin._MAX_ORDER).values
+    for order, (k, estimate) in enumerate(zip(closed, numeric), start=1):
+        yield f"order {order}", abs(k - estimate) / max(1.0, abs(k)), tolerance
 
 
 def _convolution(parts: Decomposition, x: float) -> float:

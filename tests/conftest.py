@@ -1,8 +1,11 @@
 """Shared parameter grids and the hypothesis profile for the test suite."""
 
+import math
+
 from hypothesis import settings
 
 import clutterstats as cs
+from clutterstats.specfun import polygamma
 
 # Property tests draw the same examples on every run, so the suite cannot
 # flake; each test bounds its own max_examples.
@@ -65,3 +68,14 @@ def strip_interior_points(model, points=S_POINTS, margin_low=0.05, margin_high=0
         for s in points
         if strip.lower + margin_low < s < strip.upper - margin_high
     ]
+
+
+def cumulant_scale(model, n):
+    """Size of the terms that make up k_n, the scale against which the
+    log-cumulant oracle's error is measured: max(1, sum over gamma factors of
+    |psi^(n-1)(a) / q^n|), adding the power terms' |e ln(num/den)| at n = 1."""
+    powers, gammas = cs.factor_table(model)
+    terms = [polygamma(n - 1, a) / q**n for a, q in gammas]
+    if n == 1:
+        terms += [e * math.log(num / den) for num, den, e in powers]
+    return max(1.0, sum(abs(term) for term in terms))

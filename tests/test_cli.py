@@ -103,24 +103,34 @@ class TestCumulantsCommand:
         assert std[3] != pytest.approx(pap[3], rel=1e-6)
 
     def test_numeric_oracle(self, capsys):
-        code, out, _ = invoke(
-            capsys,
-            "cumulants",
-            "--model",
-            "weibull",
-            "--b",
-            "2",
-            "--z",
-            "1",
-            "--n",
-            "2",
-            "--numeric",
-            "--format",
-            "json",
-        )
-        assert code == 0
-        values = json.loads(out)["values"]
-        assert values[1] == pytest.approx(0.4112335, abs=1e-5)
+        for n in (2, 6):
+            base = ["cumulants", "--model", "weibull", "--b", "2", "--z", "1",
+                    "--n", str(n), "--format", "json"]
+            code, out, _ = invoke(capsys, *base, "--numeric")
+            assert code == 0
+            values = json.loads(out)["values"]
+            assert len(values) == n
+            assert values[1] == pytest.approx(0.4112335, abs=1e-5)
+            _, closed, _ = invoke(capsys, *base)
+            assert values == pytest.approx(json.loads(closed)["values"], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "flags, numeric",
+        [
+            (["--model", "weibull", "--b", "1e-300", "--z", "1"], False),
+            (["--model", "gamma", "--L", "1e-300", "--mu", "1"], False),
+            (["--model", "weibull", "--b", "1e-300", "--z", "1"], True),
+            (["--model", "gamma", "--L", "1e-300", "--mu", "1"], True),
+            (["--model", "gamma", "--L", "1e300", "--mu", "1"], True),
+        ],
+        ids=["weibull", "gamma", "weibull-numeric", "gamma-numeric", "huge-gamma-numeric"],
+    )
+    def test_beyond_the_doubles_is_two(self, capsys, flags, numeric):
+        args = ["cumulants", *flags, "--n", "2"] + (["--numeric"] if numeric else [])
+        code, out, err = invoke(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert "log-cumulant of order 2 of" in err
 
 
 class TestExitCodes:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import mpmath
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import clutterstats as cs
 from clutterstats.specfun import Tolerance, polygamma
 
-from conftest import ALL_MODELS, strip_interior_points
+from conftest import ALL_MODELS, cumulant_scale, strip_interior_points
 
 QUAD_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=400)
 
@@ -205,12 +206,28 @@ class TestLogCumulantsNumeric:
         "model", ALL_MODELS, ids=[repr(m) for m in ALL_MODELS]
     )
     def test_matches_closed_form(self, model):
-        closed = cs.log_cumulants(model, 4)
-        numeric = cs.log_cumulants_numeric(model, 4)
-        for order in (1, 2):
-            assert abs(closed.values[order - 1] - numeric.values[order - 1]) <= 1e-5
-        for order in (3, 4):
-            assert abs(closed.values[order - 1] - numeric.values[order - 1]) <= 1e-3
+        closed = cs.log_cumulants(model, 6)
+        numeric = cs.log_cumulants_numeric(model, 6)
+        for n in range(1, 7):
+            error = abs(closed.order(n) - numeric.order(n))
+            assert error <= 1e-12 * cumulant_scale(model, n), f"order {n}"
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # shapes within 0.02 of the pole at s = 1 - L, and a large shape
+            # whose k4 = 1.5e-7 is tiny beside k1 = 3.6
+            cs.Gamma(L=0.02, mu=1.0),
+            cs.Gamma(L=0.016000000000000052, mu=1.0),
+            cs.InverseGamma(M=0.016000000000000052, mu=1.0),
+            cs.Nakagami(L=94.50767338062339, mu=37.06851862073373),
+        ],
+        ids=repr,
+    )
+    def test_small_and_large_shapes(self, model):
+        closed = cs.log_cumulants(model, 6).values
+        numeric = cs.log_cumulants_numeric(model, 6).values
+        assert numeric == pytest.approx(closed, rel=1e-12, abs=0.0)
 
     def test_gamma_example(self):
         closed = cs.log_cumulants(cs.Gamma(L=3.0, mu=2.0), 4)
@@ -229,12 +246,14 @@ class TestLogCumulantsNumeric:
         expected = math.log(1.5) + polygamma(0, 2.0) - polygamma(0, 3.0)
         assert numeric.values[0] == pytest.approx(expected, abs=1e-6)
 
-    def test_narrow_strip_shrinks_step(self):
-        # strip (0.9, 1.1): default stencils would step outside
+    def test_narrow_strip(self):
+        # strip (0.9, 1.1): each factor's circle has radius 0.05
         model = cs.Fisher(L=0.1, M=0.1, mu=1.0)
-        closed = cs.log_cumulants(model, 4)
-        numeric = cs.log_cumulants_numeric(model, 4)
-        assert numeric.values[0] == pytest.approx(closed.values[0], abs=1e-4)
+        closed = cs.log_cumulants(model, 6)
+        numeric = cs.log_cumulants_numeric(model, 6)
+        for n in range(1, 7):
+            error = abs(closed.order(n) - numeric.order(n))
+            assert error <= 1e-12 * cumulant_scale(model, n), f"order {n}"
 
     def test_inverse_gamma_texture_component(self):
         # the Fisher texture component supports the same oracle checks
@@ -444,6 +463,9 @@ DATA_CUMULANTS = cs.log_cumulants(cs.GammaGamma(L=2.0, M=3.0, mu=1.0), 6)
 # every public function that takes max_n, returning its values
 WITH_MAX_N = {
     "log_cumulants": lambda n: cs.log_cumulants(cs.Gamma(2.0, 1.0), n).values,
+    "log_cumulants_numeric": lambda n: cs.log_cumulants_numeric(
+        cs.Gamma(2.0, 1.0), n
+    ).values,
     "log_moments": lambda n: cs.log_moments(cs.Gamma(2.0, 1.0), n).values,
     "empirical_log_moments": lambda n: cs.empirical_log_moments(SAMPLES, n).values,
     "empirical_log_cumulants": lambda n: cs.empirical_log_cumulants(SAMPLES, n).values,
@@ -465,10 +487,39 @@ class TestOrderLimit:
         with pytest.raises(cs.ParameterError, match=r"^max order must be in 1\.\.6, got 7$"):
             WITH_MAX_N[name](7)
 
-    def test_numeric_oracle_stops_at_its_stencils(self):
-        assert len(cs.log_cumulants_numeric(cs.Gamma(2.0, 1.0), 4).values) == 4
-        with pytest.raises(cs.ParameterError, match=r"^max order must be in 1\.\.4, got 5$"):
-            cs.log_cumulants_numeric(cs.Gamma(2.0, 1.0), 5)
+
+# Valid models with log-cumulants beyond the doubles, as (function, model,
+# first order that raises): k_2 is not a finite double (the first two models,
+# both routes), or the oracle's r^2 is not (Gamma L=1e300), or its ln Gamma
+# on the circle is not (Gamma L=1e307).
+BEYOND_DOUBLES = [
+    (function, model, 2)
+    for function in (cs.log_cumulants, cs.log_cumulants_numeric)
+    for model in (cs.Weibull(b=1e-300, z=1.0), cs.Gamma(L=1e-300, mu=1.0))
+] + [
+    (cs.log_cumulants_numeric, cs.Gamma(L=1e300, mu=1.0), 2),
+    (cs.log_cumulants_numeric, cs.Gamma(L=1e307, mu=1.0), 1),
+]
+
+
+class TestBeyondTheDoubles:
+    @pytest.mark.parametrize(
+        "function, model, order",
+        BEYOND_DOUBLES,
+        ids=[f"{f.__name__}-{m!r}" for f, m, _ in BEYOND_DOUBLES],
+    )
+    def test_typed_error_names_model_and_order(self, function, model, order):
+        if order > 1:
+            assert math.isfinite(function(model, order - 1).values[-1])
+        message = f"^log-cumulant of order {order} of {re.escape(repr(model))} "
+        with pytest.raises(cs.NumericOverflowError, match=message):
+            function(model, 6)
+
+    def test_closed_form_of_a_huge_shape(self):
+        # its k_2 = psi'(1e300) is a double, and k_3..k_6 round to 0
+        values = cs.log_cumulants(cs.Gamma(L=1e300, mu=1.0), 6).values
+        assert values[1] == pytest.approx(1e-300, rel=1e-15)
+        assert not any(values[2:])
 
 
 class TestLogStats:

@@ -1,4 +1,4 @@
-"""Special-function wrappers and the quadrature/differentiation oracles."""
+"""Special-function wrappers and the quadrature engine."""
 
 import math
 import os
@@ -13,9 +13,6 @@ import clutterstats as cs
 from clutterstats.specfun import (
     Tolerance,
     _log_concave_integral,
-    bessel_k,
-    default_step,
-    derivative_at,
     digamma,
     log_gamma,
     polygamma,
@@ -98,44 +95,6 @@ class TestPolygamma:
             polygamma(1.5, 1.0)
 
 
-class TestBesselK:
-    def test_half_order_closed_form(self):
-        # K_{1/2}(x) = sqrt(pi/(2x)) exp(-x)
-        for x in (0.5, 2.0, 10.0):
-            expected = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
-            assert bessel_k(0.5, x) == pytest.approx(expected, rel=1e-12)
-        assert bessel_k(0.5, 2.0) == pytest.approx(0.1199377, abs=1e-7)
-
-    def test_integral_representation(self):
-        # 2 K_0(x) = Int exp(-x cosh t) dt over the whole line, via the
-        # quadrature oracle
-        oracle = 0.5 * math.exp(_log_concave_integral(lambda t: -math.cosh(t), TIGHT))
-        assert oracle == pytest.approx(0.42102443824070834, rel=1e-10)
-        assert bessel_k(0.0, 1.0) == pytest.approx(oracle, rel=1e-9)
-
-    def test_symmetry(self):
-        assert bessel_k(-3.0, 1.0) == bessel_k(3.0, 1.0)
-        assert bessel_k(-0.7, 2.5) == bessel_k(0.7, 2.5)
-
-    def test_recurrence(self):
-        # K_{nu+1}(x) - K_{nu-1}(x) = (2 nu / x) K_nu(x)
-        for nu in (0.5, 1.0, 2.5):
-            for x in (0.5, 1.0, 5.0, 20.0):
-                lhs = bessel_k(nu + 1.0, x) - bessel_k(nu - 1.0, x)
-                rhs = (2.0 * nu / x) * bessel_k(nu, x)
-                assert abs(lhs - rhs) <= 1e-8 * bessel_k(nu + 1.0, x)
-
-    def test_overflow_signaled(self):
-        with pytest.raises(cs.NumericOverflowError):
-            bessel_k(50.0, 1e-6)
-
-    def test_domain(self):
-        with pytest.raises(cs.ParameterError):
-            bessel_k(1.0, 0.0)
-        with pytest.raises(cs.ParameterError):
-            bessel_k(1.0, -2.0)
-
-
 class TestLogConcaveIntegral:
     """ln Int exp(g(u)) du over the whole line; with u = ln x these are
     integrals over (0, inf) of x^(s-1) times a density."""
@@ -151,6 +110,11 @@ class TestLogConcaveIntegral:
         # singularity at 0 for s < 1
         result = _log_concave_integral(lambda u: s * u - math.exp(u), TIGHT)
         assert result == pytest.approx(log_gamma(s), abs=1e-11)
+
+    def test_cosh_integral(self):
+        # 2 K_0(1) = Int exp(-cosh t) dt over the whole line
+        oracle = 0.5 * math.exp(_log_concave_integral(lambda t: -math.cosh(t), TIGHT))
+        assert oracle == pytest.approx(0.42102443824070834, rel=1e-10)
 
     def test_zero_at_start_and_narrow_peak(self):
         # Weibull(b=1000, z=1e-2): g is -inf at u = 0 and the peak is 1e-3
@@ -186,42 +150,6 @@ def test_import_leaves_out_scipy_integrate():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
-
-
-class TestDerivativeAt:
-    def test_exact_for_quadratic(self):
-        assert derivative_at(lambda s: s * s, 3.0, 1) == pytest.approx(6.0, abs=1e-9)
-
-    def test_exp_second_derivative(self):
-        est = derivative_at(math.exp, 0.0, 2, step=1e-3)
-        assert est == pytest.approx(1.0, abs=1e-5)
-
-    def test_matches_trigamma(self):
-        # second derivative of ln Phi for a unit-mean exponential equals psi'(1)
-        model = cs.Gamma(L=1.0, mu=1.0)
-        est = derivative_at(lambda s: cs.psi(model, s), 1.0, 2)
-        assert est == pytest.approx(polygamma(1, 1.0), abs=1e-4)
-        assert est == pytest.approx(1.644934, abs=1e-4)
-
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_polynomial_orders(self, order):
-        # s^4 has known derivatives at s=2
-        f = lambda s: s**4
-        expected = {1: 32.0, 2: 48.0, 3: 48.0, 4: 24.0}[order]
-        assert derivative_at(f, 2.0, order, step=1e-2) == pytest.approx(
-            expected, rel=1e-3
-        )
-
-    def test_default_steps(self):
-        assert default_step(1.0, 1) == 1e-5
-        assert default_step(100.0, 2) == 1e-3
-        assert default_step(1.0, 4) == 1e-3
-
-    def test_bad_order(self):
-        with pytest.raises(cs.ParameterError):
-            derivative_at(math.exp, 0.0, 5)
-        with pytest.raises(cs.ParameterError):
-            derivative_at(math.exp, 0.0, 1, step=-1e-3)
 
 
 class TestTolerance:
