@@ -40,6 +40,8 @@ from .errors import (
     StripError,
 )
 from .models import (
+    _HUGE,
+    _TINY,
     ClutterModel,
     Exponential,
     Gamma,
@@ -48,8 +50,8 @@ from .models import (
     Nakagami,
     Rayleigh,
     Weibull,
+    _log_density,
     decompose,
-    log_pdf,
 )
 from .specfun import (
     DEFAULT_TOLERANCE,
@@ -225,11 +227,28 @@ def _check_strip(model: ClutterModel, gammas, s: float) -> float:
     return s
 
 
+def _normal(x: float) -> bool:
+    return _TINY <= x <= _HUGE
+
+
+def _log_ratio(num: float, den: float) -> float:
+    """ln(num / den) of a power term: the log of the quotient where that is a
+    normal double, so those values do not change, else the difference of the
+    logs; NumericOverflowError where num or den itself has left the doubles
+    (a compound's merged scale, a product that can underflow to 0)."""
+    ratio = num / den if den else math.inf
+    if _normal(ratio):
+        return math.log(ratio)
+    if not (_normal(num) and _normal(den)):
+        raise NumericOverflowError(f"scale {num!r}/{den!r} is not representable")
+    return math.log(num) - math.log(den)
+
+
 def _psi_closed(powers, gammas, d: float) -> float:
     # Each gamma term vanishes exactly at d = 0, so Psi(1) = 0 exactly.
     total = 0.0
     for num, den, e in powers:
-        total += (e * d) * math.log(num / den)
+        total += (e * d) * _log_ratio(num, den)
     for a, q in sorted(gammas):
         x = a + d / q
         if not x > 0.0:
@@ -254,7 +273,9 @@ def phi(model: ClutterModel, s: float) -> float:
 
     Evaluated in linear space (powers times gamma ratios), which keeps
     small-argument results exactly rounded (moments of integer order come out
-    exact); falls back to exp(psi) when a gamma factor overflows.
+    exact); a scale ratio that is not a normal double enters through its log
+    (_log_ratio), and where a factor overflows this falls back to exp(psi).
+    Raises NumericOverflowError where Phi(s) is beyond the doubles.
     """
     powers, gammas = factor_table(model)
     s = _check_strip(model, gammas, s)
@@ -262,7 +283,11 @@ def phi(model: ClutterModel, s: float) -> float:
     try:
         value = 1.0
         for num, den, e in powers:
-            value *= math.pow(num / den, e * d)
+            ratio = num / den if den else math.inf
+            if _normal(ratio):
+                value *= math.pow(ratio, e * d)
+            else:
+                value *= math.exp(e * d * _log_ratio(num, den))
         for a, q in sorted(gammas):
             value *= float(sc_gamma(a + d / q)) / float(sc_gamma(a))
     except OverflowError:
@@ -287,9 +312,7 @@ def phi_numeric(
     Int exp(s u + ln f(e^u)) du: independent of the closed forms, it goes
     through the log-density and specfun's whole-line quadrature only."""
     s = _check_strip(model, factor_table(model)[1], s)
-    log_value = _log_concave_integral(
-        lambda u: s * u + log_pdf(model, math.exp(u)), tol
-    )
+    log_value = _log_concave_integral(lambda u: s * u + _log_density(model, u), tol)
     return _exp_phi(model, s, log_value)
 
 
@@ -352,7 +375,7 @@ def log_cumulants(model: ClutterModel, max_n: int) -> LogStats:
             total = 0.0
             if n == 1:
                 for num, den, e in powers:
-                    total += e * math.log(num / den)
+                    total += e * _log_ratio(num, den)
             for a, q in gammas:
                 value = polygamma(n - 1, a)
                 total += value / q if n == 1 else q ** (-n) * value
@@ -378,7 +401,7 @@ def log_cumulants_numeric(model: ClutterModel, max_n: int) -> LogStats:
     """
     values = [0.0] * _check_max_n(max_n)
     powers, gammas = factor_table(model)
-    values[0] = sum(e * math.log(num / den) for num, den, e in powers)
+    values[0] = sum(e * _log_ratio(num, den) for num, den, e in powers)
     try:
         for a, q in sorted(gammas):
             r = 0.5 * a * abs(q)

@@ -18,11 +18,14 @@ table and sampler are derived from them.  The densities do not use the
 declaration, so the Mellin convolution of the components' densities checks
 it against the compound's (verify).
 
-The densities are written out as logs (log_pdf; pdf is its exponential).
-Each family is a product of independent gamma powers, so ln X has a
-log-concave density: the oracles' integrands are concave in ln x, and a
-density that broke that would fail a cross-check, not pass it.  ln K_nu
-(from ln w) and the Weibull-Nakagami texture integral come from specfun.
+Each family's density is written once, as its log ln f(e^u) on numpy arrays
+of u = ln x, nan where it is not representable in doubles; log_pdf is its
+one-element case (raising NumericOverflowError there), and pdf its
+exponential.  The oracles integrate it over arrays of u.  Each family is a
+product of independent gamma powers, so ln X has a log-concave density: the
+oracles' integrands are concave in ln x, and a density that broke that would
+fail a cross-check, not pass it.  ln K_nu (from ln w) and the
+Weibull-Nakagami texture integral, one per element, come from specfun.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property, singledispatch
 from typing import Callable, ClassVar, Optional, Tuple
 
+import numpy as np
 from scipy.special import betaln, gammaln
 
 from .errors import (
@@ -41,7 +45,13 @@ from .errors import (
     NumericOverflowError,
     ParameterError,
 )
-from .specfun import _LN2, _LOG_MAX, Tolerance, _log_kve, _log_peak_integral
+from .specfun import (
+    _LN2,
+    _LOG_MAX,
+    Tolerance,
+    _log_kve_array,
+    _log_peak_integral,
+)
 
 __all__ = [
     "Exponential",
@@ -293,6 +303,8 @@ class Decomposition:
 _WN_INNER_TOL = Tolerance(abs_tol=1e-14, rel_tol=1e-10, max_subdivisions=200)
 _LOG_EPS = -745.0  # exp() underflows to zero below this
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
+# ln of the normal doubles, narrowed by 1 at each end
+_LOG_NORMAL = (math.log(_TINY) + 1.0, math.log(_HUGE) - 1.0)
 
 
 def _quotient(
@@ -314,27 +326,46 @@ def _quotient(
     return (math.exp(log_q) if log_q < _LOG_MAX else math.inf), log_q
 
 
+def _quotients(u: np.ndarray, num, den, power: int = 1):
+    """(q, ln q) elementwise for q = prod(num) x^power / prod(den), x = e^u,
+    as _quotient takes them: in linear space where x, the numerator and q
+    are normal doubles by a factor e (where u lies in one interval, as each
+    is e to a line in u), else ln q = power u + the factors' logs and
+    q = e^(ln q), 0 or inf beyond the double range."""
+    c, bottom = math.prod(num), math.prod(den)
+    lo, hi = _LOG_NORMAL
+    log_c = math.fsum(map(math.log, num)) - math.fsum(map(math.log, den))
+    if _TINY <= c <= _HUGE and _TINY <= bottom <= _HUGE:
+        lo = max(lo, (lo - math.log(c)) / power, (lo - log_c) / power)
+        hi = min(hi, (hi - math.log(c)) / power, (hi - log_c) / power)
+    else:
+        lo = math.inf
+    x = np.exp(u)
+    q = c * x * x / bottom if power == 2 else c * x / bottom
+    log_q = np.log(q)
+    linear = (lo <= u) & (u <= hi)  # (empty where lo > hi)
+    if not linear.all():
+        log_q = np.where(linear, log_q, power * u + log_c)
+        q = np.where(linear, q, np.exp(log_q))
+    return q, log_q
+
+
 def log_pdf(model: ClutterModel, x: float) -> float:
     """ln of the density of the model at x > 0 (-inf where it carries e^-w, w
     beyond the doubles, and for Weibull-Nakagami below e^-745); raises
-    NumericOverflowError, naming the model and x, where it is not in doubles."""
+    NumericOverflowError, naming the model and x, where it is not in doubles.
+    It is the one-element case of the model's density on arrays in u = ln x.
+    """
     x = float(x)
     if math.isnan(x) or x <= 0:
         raise ParameterError(f"x must be > 0, got {x!r}")
     if math.isinf(x):
         raise ParameterError("x must be finite")
-    try:
-        value = _pdf(model, x)
-    except ParameterError:
-        raise
-    except (ArithmeticError, ValueError) as exc:
-        # a division by an underflowed square, an exp beyond the double
-        # range, an integrand that overflows (NumericOverflowError)
+    value = _log_density(model, np.log(np.array([x])))[0].item()
+    if math.isnan(value):
         raise NumericOverflowError(
-            f"pdf of {model!r} at x={x!r} is not representable: {exc}"
-        ) from exc
-    if math.isnan(value) or value == math.inf:
-        raise NumericOverflowError(f"pdf overflow for {model!r} at x={x!r}")
+            f"pdf of {model!r} at x={x!r} is not representable"
+        )
     return value
 
 
@@ -347,110 +378,121 @@ def pdf(model: ClutterModel, x: float) -> float:
     return 0.0 if log_f < _LOG_EPS else math.exp(log_f)
 
 
+@np.errstate(all="ignore")  # a value beyond the doubles is nan, checked here
+def _log_density(model: ClutterModel, u: np.ndarray) -> np.ndarray:
+    """ln f(e^u), the model's log-density, elementwise over the array u; nan
+    where it is not representable in doubles (as is +inf)."""
+    value = _log_f(model, u)
+    return np.where(value < math.inf, value, math.nan)
+
+
 @singledispatch
-def _pdf(model, x: float) -> float:
-    """ln f(x), the model's log-density at x (checked by log_pdf)."""
+def _log_f(model, u: np.ndarray) -> np.ndarray:
+    """ln f(e^u) of each family (checked by _log_density)."""
     raise ParameterError(f"not a clutter model: {model!r}")
 
 
-@_pdf.register
-def _(model: Exponential, x: float) -> float:
-    return -x / model.mu - math.log(model.mu)
+@_log_f.register
+def _(model: Exponential, u: np.ndarray) -> np.ndarray:
+    return -_quotients(u, (1.0,), (model.mu,))[0] - math.log(model.mu)
 
 
-@_pdf.register
-def _(model: Gamma, x: float) -> float:
+@_log_f.register
+def _(model: Gamma, u: np.ndarray) -> np.ndarray:
     L, mu = model.L, model.mu
     return (
         L * _quotient((L,), (mu,))[1]
-        + (L - 1.0) * math.log(x)
-        - _quotient((L, x), (mu,))[0]
+        + (L - 1.0) * u
+        - _quotients(u, (L,), (mu,))[0]
         - gammaln(L)
     )
 
 
-@_pdf.register
-def _(model: Nakagami, x: float) -> float:
+@_log_f.register
+def _(model: Nakagami, u: np.ndarray) -> np.ndarray:
     L, mu = model.L, model.mu
     return (
-        math.log(2.0)
+        _LN2
         + L * _quotient((L,), (mu, mu))[1]
-        + (2.0 * L - 1.0) * math.log(x)
-        - _quotient((L, x, x), (mu, mu))[0]
+        + (2.0 * L - 1.0) * u
+        - _quotients(u, (L,), (mu, mu), 2)[0]
         - gammaln(L)
     )
 
 
-@_pdf.register
-def _(model: Maxwell, x: float) -> float:
+@_log_f.register
+def _(model: Maxwell, u: np.ndarray) -> np.ndarray:
     s = model.sigma
     return (
         0.5 * math.log(2.0 / math.pi)
         - 3.0 * math.log(s)
-        + 2.0 * math.log(x)
-        - x * x / (2.0 * s * s)
+        + 2.0 * u
+        - _quotients(u, (1.0,), (2.0, s, s), 2)[0]
     )
 
 
-def _weibull_log_pdf(b: float, z: float, x: float) -> float:
-    log_ratio = _quotient((x,), (z,))[1]
+def _weibull_log_f(b: float, z: float, u: np.ndarray) -> np.ndarray:
+    log_ratio = _quotients(u, (1.0,), (z,))[1]
     t = b * log_ratio
-    if t > _LOG_MAX:
-        return -math.inf
-    return _quotient((b,), (z,))[1] + (b - 1.0) * log_ratio - math.exp(t)
+    value = _quotient((b,), (z,))[1] + (b - 1.0) * log_ratio - np.exp(t)
+    return np.where(t > _LOG_MAX, -math.inf, value)
 
 
-@_pdf.register
-def _(model: Weibull, x: float) -> float:
-    return _weibull_log_pdf(model.b, model.z, x)
+@_log_f.register
+def _(model: Weibull, u: np.ndarray) -> np.ndarray:
+    return _weibull_log_f(model.b, model.z, u)
 
 
-@_pdf.register
-def _(model: Rayleigh, x: float) -> float:
-    return _weibull_log_pdf(2.0, model.z, x)
+@_log_f.register
+def _(model: Rayleigh, u: np.ndarray) -> np.ndarray:
+    return _weibull_log_f(2.0, model.z, u)
 
 
-@_pdf.register
-def _(model: GammaGamma, x: float) -> float:
+def _bessel_log_f(log_scale, nu: float, log_w: np.ndarray) -> np.ndarray:
+    """log_scale + ln K_nu(w), w = e^log_w, elementwise: -inf where w is
+    beyond the doubles (the densities carry e^-w), from the scaled Bessel K
+    taken where it is not."""
+    near = np.minimum(log_w, _LOG_MAX)
+    value = log_scale + _log_kve_array(nu, near) - np.exp(near)
+    return np.where(log_w > _LOG_MAX, -math.inf, value)
+
+
+@_log_f.register
+def _(model: GammaGamma, u: np.ndarray) -> np.ndarray:
     L, M, mu = model.L, model.M, model.mu
     half_sum = 0.5 * (L + M)
-    log_w = _LN2 + 0.5 * _quotient((L, M, x), (mu,))[1]  # w = 2 sqrt(L M x / mu)
-    if log_w > _LOG_MAX:
-        return -math.inf  # the density carries e^-w
-    return (
-        math.log(2.0)
+    # w = 2 sqrt(L M x / mu)
+    log_w = _LN2 + 0.5 * _quotients(u, (L, M), (mu,))[1]
+    log_scale = (
+        _LN2
         - gammaln(L)
         - gammaln(M)
         + half_sum * _quotient((L, M), (mu,))[1]
-        + (half_sum - 1.0) * math.log(x)
-        + _log_kve(M - L, log_w)
-        - math.exp(log_w)
+        + (half_sum - 1.0) * u
     )
+    return _bessel_log_f(log_scale, M - L, log_w)
 
 
-@_pdf.register
-def _(model: KAmplitude, x: float) -> float:
+@_log_f.register
+def _(model: KAmplitude, u: np.ndarray) -> np.ndarray:
     alpha, b, mu = model.alpha, model.b, model.mu
-    log_r = _quotient((x,), (mu,))[1]
+    log_r = _quotients(u, (1.0,), (mu,))[1]
     log_w = _LN2 + log_r + 0.5 * math.log(b)  # w = 2 (x / mu) sqrt(b)
-    if log_w > _LOG_MAX:
-        return -math.inf  # the density carries e^-w
-    return (
-        math.log(4.0)
+    log_scale = (
+        2.0 * _LN2
         + 0.5 * (alpha + 1.0) * math.log(b)
         + alpha * log_r
         - gammaln(alpha)
-        + _log_kve(alpha - 1.0, log_w)
-        - math.exp(log_w)
         - math.log(mu)
     )
+    return _bessel_log_f(log_scale, alpha - 1.0, log_w)
 
 
-@_pdf.register
-def _(model: WeibullNakagami, x: float) -> float:
+@_log_f.register
+def _(model: WeibullNakagami, u: np.ndarray) -> np.ndarray:
     c, alpha, ln_b = model.c, model.alpha, math.log(model.b)
     ln_root_sigma = 0.5 * math.log(model.sigma)
-    ln_r = math.log(x) - ln_root_sigma
+    ln_r = u - ln_root_sigma
     log_pref = (
         math.log(2.0 * c)
         + alpha * ln_b
@@ -458,35 +500,35 @@ def _(model: WeibullNakagami, x: float) -> float:
         + (c - 1.0) * ln_r
         - ln_root_sigma
     )
-    # the texture integrand, in u = ln z:
-    # exp((2 alpha - c) u - e^(c (ln r - u)) - e^(2 (u + ln(b)/2)));
+    # the texture integrand, in v = ln z:
+    # exp((2 alpha - c) v - e^(c (ln r - v)) - e^(2 (v + ln(b)/2)));
     # where it and the prefactor are too small to reach e^-745, it is not summed
     return _log_peak_integral(
         2.0 * alpha - c, c, ln_r, 2.0, -0.5 * ln_b, _WN_INNER_TOL, log_pref, _LOG_EPS
-    )
+    ).reshape(u.shape)
 
 
-@_pdf.register
-def _(model: Fisher, x: float) -> float:
+@_log_f.register
+def _(model: Fisher, u: np.ndarray) -> np.ndarray:
     L, M, mu = model.L, model.M, model.mu
-    lam, log_lam = _quotient((L, x), (M, mu))
+    lam, log_lam = _quotients(u, (L,), (M, mu))
     # (L - 1) ln lam - (L + M) ln(1 + lam); for lam > 1 the two large terms
     # are cancelled by hand, else a large L loses the result to rounding
-    if log_lam > 0.0:
-        shape = -(M + 1.0) * log_lam - (L + M) * math.log1p(1.0 / lam)
-    else:
-        shape = (L - 1.0) * log_lam - (L + M) * math.log1p(lam)
+    shape = np.where(
+        log_lam > 0.0,
+        -(M + 1.0) * log_lam - (L + M) * np.log1p(1.0 / lam),
+        (L - 1.0) * log_lam - (L + M) * np.log1p(lam),
+    )
     # ln B(L, M) by betaln: as a sum of log-gammas it loses everything to
     # rounding once the shapes differ by many orders (L = 3, M = 1e20); a
-    # Python float, so that a shape beyond the double range gives a quiet
-    # nan, which log_pdf reports, not a numpy warning
-    return -float(betaln(L, M)) + _quotient((L,), (M, mu))[1] + shape
+    # shape beyond the double range gives nan
+    return -betaln(L, M) + _quotient((L,), (M, mu))[1] + shape
 
 
-@_pdf.register
-def _(model: InverseGamma, x: float) -> float:
+@_log_f.register
+def _(model: InverseGamma, u: np.ndarray) -> np.ndarray:
     M, mu = model.M, model.mu
-    return M * math.log(mu) - (M + 1.0) * math.log(x) - mu / x - gammaln(M)
+    return M * math.log(mu) - (M + 1.0) * u - _quotients(-u, (mu,), ())[0] - gammaln(M)
 
 
 def decompose(model: ClutterModel) -> Decomposition:

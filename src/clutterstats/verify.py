@@ -34,6 +34,7 @@ from .models import (
     Rayleigh,
     Weibull,
     WeibullNakagami,
+    _log_density,
     decompose,
     log_pdf,
 )
@@ -113,11 +114,11 @@ def _convolution(parts: Decomposition, x: float) -> float:
     convolution of the component densities in v = ln t,
     Int exp(ln f_speckle(x e^-v) + ln f_texture(e^v)) dv."""
 
-    def exponent(v: float) -> float:
-        t = math.exp(v)
-        return log_pdf(parts.speckle, x / t) + log_pdf(parts.texture, t)
-
-    return _log_concave_integral(exponent, _QUAD_TOL)
+    log_x = math.log(x)
+    return _log_concave_integral(
+        lambda v: _log_density(parts.speckle, log_x - v) + _log_density(parts.texture, v),
+        _QUAD_TOL,
+    )
 
 
 def _convolution_rows(model: ClutterModel, tolerance: float):

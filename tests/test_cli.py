@@ -133,6 +133,18 @@ class TestCumulantsCommand:
         assert "log-cumulant of order 2 of" in err
 
 
+    @pytest.mark.parametrize("numeric", [False, True], ids=["closed", "numeric"])
+    def test_scale_ratio_below_the_doubles(self, capsys, numeric):
+        # mu / L = 1e-600 underflows, yet k1 = ln(mu / L) + psi(L) is a double
+        args = ["cumulants", "--model", "gamma", "--L", "1e300", "--mu", "1e-300",
+                "--n", "1"] + (["--numeric"] if numeric else [])
+        code, out, _ = invoke(capsys, *args)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert (header, row.split(",")[0]) == ("order,value", "1")
+        assert float(row.split(",")[1]) == pytest.approx(-690.7755278982137, rel=1e-15)
+
+
 class TestExitCodes:
     def test_domain_error_is_three(self, capsys):
         code, _, err = invoke(

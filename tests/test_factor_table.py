@@ -174,11 +174,24 @@ def test_phi_matches_quadrature(family, data):
 @settings(max_examples=30)
 @given(data=st.data())
 def test_phi_matches_quadrature_weibull_nakagami(data):
-    # apart from the other families: the density is itself a quadrature.
-    # With both shapes above about 600 its walk can stall in far tails, where
-    # the peak is too narrow for expm1(y) - y to resolve (NonConvergenceError;
-    # 1 of 3000 random models with shapes up to 700, none of 4000 up to 500)
-    _check_phi_against_quadrature("weibull_nakagami", data, 500.0)
+    # apart from the other families: the density is itself a quadrature
+    _check_phi_against_quadrature("weibull_nakagami", data, 1000.0)
+
+
+def test_phi_quadrature_weibull_nakagami_between_probes():
+    # shapes of hundreds: ln x lies within 0.6 of 3.4, between the probes at
+    # ln x = 2 and 4, where the density is below e^-745.  The density's peak
+    # integral must give -inf in the far tails, where its terms overflow,
+    # not fail, and the quadrature must look between its probes
+    model = cs.WeibullNakagami(
+        c=747.277871426309,
+        alpha=706.6897750171661,
+        b=7.634550032546566,
+        sigma=9.737845867342532,
+    )
+    s = -1.834566699069501
+    closed = cs.phi(model, s)
+    assert abs(cs.phi_numeric(model, s, _QUAD_TOL) - closed) <= 1e-10 * closed
 
 
 @pytest.mark.parametrize(

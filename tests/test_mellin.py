@@ -515,6 +515,43 @@ class TestBeyondTheDoubles:
         with pytest.raises(cs.NumericOverflowError, match=message):
             function(model, 6)
 
+    def test_scale_ratio_below_the_doubles(self):
+        # mu / L = 1e-600 underflows to 0; its log is taken as a difference
+        # of logs, so k1 = ln(mu / L) + psi(L) is a double, and psi and phi
+        # give a value or the typed error, never a bare math error
+        model = cs.Gamma(L=1e300, mu=1e-300)
+        with mpmath.workdps(30):
+            L, mu = mpmath.mpf(model.L), mpmath.mpf(model.mu)
+            k1 = float(mpmath.log(mu / L) + mpmath.digamma(L))
+        assert cs.log_cumulants(model, 1).values[0] == pytest.approx(k1, rel=1e-15)
+        assert cs.log_cumulants_numeric(model, 1).values[0] == pytest.approx(
+            k1, rel=1e-15
+        )
+        for s in (0.5, 1.5, 2.0, 3.0):
+            for function in (cs.psi, cs.phi):
+                try:
+                    assert math.isfinite(function(model, s))
+                except cs.NumericOverflowError:
+                    pass
+
+    def test_scale_ratio_above_the_doubles(self):
+        # mu / L = 1e310 overflows; Phi(1.5) = (mu / L)^0.5 Gamma(L + 0.5) /
+        # Gamma(L) is a double and Phi(3) is not
+        model = cs.Gamma(L=1e-10, mu=1e300)
+        with mpmath.workdps(30):
+            L, mu = mpmath.mpf(model.L), mpmath.mpf(model.mu)
+            expected = float(mpmath.sqrt(mu / L) * mpmath.gamma(L + 0.5) / mpmath.gamma(L))
+        assert cs.phi(model, 1.5) == pytest.approx(expected, rel=1e-13)
+        with pytest.raises(cs.NumericOverflowError):
+            cs.phi(model, 3.0)
+
+    def test_merged_scale_below_the_doubles_is_typed(self):
+        # gamma-gamma's merged scale L M = 1e-400 underflows to 0
+        model = cs.GammaGamma(L=1e-200, M=1e-200, mu=1.0)
+        for function in (cs.log_cumulants, cs.log_cumulants_numeric):
+            with pytest.raises(cs.NumericOverflowError):
+                function(model, 1)
+
     def test_closed_form_of_a_huge_shape(self):
         # its k_2 = psi'(1e300) is a double, and k_3..k_6 round to 0
         values = cs.log_cumulants(cs.Gamma(L=1e300, mu=1.0), 6).values

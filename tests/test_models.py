@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import kve
 
 import clutterstats as cs
+from clutterstats.models import _log_density
 from clutterstats.specfun import Tolerance, _gauss_kronrod, _log_kve
 from clutterstats.verify import _convolution
 
@@ -226,6 +227,44 @@ class TestExtremeScales:
         assert math.isfinite(value) and value >= 0.0
 
 
+# parameters log-uniform over 16 decades
+LOG_UNIFORM_PARAMETER = st.floats(math.log(1e-8), math.log(1e8)).map(math.exp)
+
+
+class TestArrayDensity:
+    """Each family's density is written once, on arrays in u = ln x, and
+    log_pdf is its one-element case."""
+
+    @pytest.mark.parametrize("family", sorted(cs.FAMILIES))
+    @settings(max_examples=25)
+    @given(
+        data=st.data(),
+        xs=st.lists(LOG_UNIFORM, min_size=1, max_size=6),
+        zs=st.lists(st.floats(-3.0, 3.0), max_size=6),
+    )
+    def test_elements_are_log_pdf(self, family, data, xs, zs):
+        cls = cs.FAMILIES[family]
+        fields = dataclasses.fields(cls)
+        model = cls(**{f.name: data.draw(LOG_UNIFORM_PARAMETER, f.name) for f in fields})
+        # and points z log-standard-deviations from the log-mean, where the
+        # Weibull-Nakagami density is a quadrature, not a far-tail -inf
+        try:
+            k1, k2 = cs.log_cumulants(model, 2).values
+        except cs.NumericOverflowError:
+            zs = []
+        bulk = [k1 + z * math.sqrt(k2) for z in zs]
+        xs = xs + [math.exp(u) for u in bulk if -700.0 < u < 700.0]
+        values = _log_density(model, np.log(np.array(xs)))
+        for x, value in zip(xs, values.tolist()):
+            try:
+                expected = cs.log_pdf(model, x)
+            except cs.NumericOverflowError:
+                assert math.isnan(value)
+            else:
+                # bit for bit (so not nan), and finite or -inf
+                assert value == expected and value < math.inf
+
+
 class TestNormalization:
     # Phi(1) and Phi(2) by quadrature of the density are its integral and mean
     @pytest.mark.parametrize(
@@ -317,9 +356,9 @@ class TestCompoundConsistency:
 
 def _mp_wn_pdf(model, x):
     """The Weibull-Nakagami density to 30 digits: the texture integral in
-    u = ln z, with the peak of its concave log found by bisection and mpmath
-    quadrature split at multiples of the peak width out to where the log has
-    fallen by 120."""
+    u = ln z, with the peak of its concave log found by bisection, and mpmath
+    Gauss-Legendre quadrature on 400 equal pieces of the range where the log
+    is within 150 of the peak's, whose ends are found by bisection too."""
     with mpmath.workdps(30):
         c, alpha, b, sigma, x = map(
             mpmath.mpf, (model.c, model.alpha, model.b, model.sigma, x)
@@ -343,17 +382,22 @@ def _mp_wn_pdf(model, x):
             lo, hi = (mid, hi) if dg(mid) > 0 else (lo, mid)
         peak = (lo + hi) / 2
         top = g(peak)
-        width = 1 / mpmath.sqrt(
-            c**2 * mpmath.exp(c * (ln_r - peak)) + 4 * b * mpmath.exp(2 * peak)
-        )
-        points = [peak]
+        ends = []
         for sign in (1, -1):
-            d = width
-            while g(peak + sign * d) - top > -120:
-                points.append(peak + sign * d)
-                d *= 2
-            points.append(peak + sign * d)
-        integral = mpmath.quad(lambda u: mpmath.exp(g(u) - top), sorted(points))
+            inside, outside = peak, peak + sign
+            while g(outside) - top > -150:
+                inside, outside = outside, peak + 2 * (outside - peak)
+            for _ in range(100):
+                mid = (inside + outside) / 2
+                inside, outside = (
+                    (mid, outside) if g(mid) - top > -150 else (inside, mid)
+                )
+            ends.append(outside)
+        integral = mpmath.quad(
+            lambda u: mpmath.exp(g(u) - top),
+            mpmath.linspace(ends[1], ends[0], 401),
+            method="gauss-legendre",
+        )
         log_f = (
             mpmath.log(2 * c) + alpha * mpmath.log(b) - mpmath.loggamma(alpha)
             + (c - 1) * ln_r - mpmath.log(sigma) / 2 + top + mpmath.log(integral)
@@ -362,6 +406,12 @@ def _mp_wn_pdf(model, x):
 
 
 LARGE_SHAPES = cs.WeibullNakagami(c=286.0, alpha=158.0, b=1.0, sigma=10.0)
+FAR_TAIL_SHAPES = cs.WeibullNakagami(
+    c=747.277871426309,
+    alpha=706.6897750171661,
+    b=7.634550032546566,
+    sigma=9.737845867342532,
+)
 
 
 class TestWeibullNakagamiDensity:
@@ -423,8 +473,9 @@ class TestWeibullNakagamiDensity:
         # its peak to u = 0, so the walk's y = 2 d passes 700.  Reference: ln f
         # by 40-digit mpmath over 400, 1201 and 2000 equal pieces of the range
         # where the integrand is within e^-150 of its peak, with Gauss-Legendre
-        # and tanh-sinh rules; all three agree to 25 digits.  (_mp_wn_pdf's
-        # pieces, doubling from the peak width, miss it by 1.9e-7 here.)
+        # and tanh-sinh rules; all three agree to 25 digits.  (_mp_wn_pdf takes
+        # the 400-piece form; pieces doubling from the peak width missed it by
+        # 1.9e-7.)
         model = cs.WeibullNakagami(
             c=0.14780136205975927,
             alpha=0.06236477121626183,
@@ -433,6 +484,12 @@ class TestWeibullNakagamiDensity:
         )
         log_f = cs.log_pdf(model, 1.9581185060287123e-171)
         assert log_f == pytest.approx(343.7775395326869566265083, abs=1e-10)
+
+    def test_shapes_of_hundreds_far_tail_is_zero(self):
+        # the bulk of ln X lies within 0.6 of 3.4; out at ln x = 512 the terms
+        # of the texture integrand overflow at the bracket of its peak, which
+        # the peak search must not take as an error
+        assert cs.log_pdf(FAR_TAIL_SHAPES, 2.2844135865397565e222) == -math.inf
 
     @settings(max_examples=12)
     @given(
@@ -554,6 +611,11 @@ class TestBesselOverflow:
             # and from nu = 2^30 on
             (1e10, 1e-5),
             (1e12, 1e12),
+            # kve overflows for normal w below about 1e-20 at orders from
+            # about 1 (the small-argument form)
+            (1.0, 2.5e-308),
+            (1.5, 1e-250),
+            (3.0, 1e-120),
         ],
     )
     def test_large_argument_or_order_matches_mpmath(self, nu, w):

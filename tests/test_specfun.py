@@ -10,6 +10,7 @@ import pytest
 import scipy.special
 
 import clutterstats as cs
+from clutterstats.models import _log_density
 from clutterstats.specfun import (
     Tolerance,
     _log_concave_integral,
@@ -17,6 +18,7 @@ from clutterstats.specfun import (
     log_gamma,
     polygamma,
 )
+from clutterstats.verify import VERIFY_MODELS
 
 TIGHT = Tolerance(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=400)
 
@@ -101,41 +103,54 @@ class TestLogConcaveIntegral:
 
     def test_unit_exponential(self):
         # Int e^-x dx = Int exp(u - e^u) du
-        result = _log_concave_integral(lambda u: u - math.exp(u), TIGHT)
+        result = _log_concave_integral(lambda u: u - np.exp(u), TIGHT)
         assert result == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("s", [0.1, 0.5, 1.0, 2.5, 5.0])
     def test_gamma_function_identity(self, s):
         # Gamma(s) = Int x^(s-1) e^-x dx, including the integrable
         # singularity at 0 for s < 1
-        result = _log_concave_integral(lambda u: s * u - math.exp(u), TIGHT)
+        result = _log_concave_integral(lambda u: s * u - np.exp(u), TIGHT)
         assert result == pytest.approx(log_gamma(s), abs=1e-11)
 
     def test_cosh_integral(self):
         # 2 K_0(1) = Int exp(-cosh t) dt over the whole line
-        oracle = 0.5 * math.exp(_log_concave_integral(lambda t: -math.cosh(t), TIGHT))
+        oracle = 0.5 * math.exp(_log_concave_integral(lambda t: -np.cosh(t), TIGHT))
         assert oracle == pytest.approx(0.42102443824070834, rel=1e-10)
 
     def test_zero_at_start_and_narrow_peak(self):
         # Weibull(b=1000, z=1e-2): g is -inf at u = 0 and the peak is 1e-3
         # wide, 4.6 away
         model = cs.Weibull(b=1000.0, z=1e-2)
-        result = _log_concave_integral(
-            lambda u: u + cs.log_pdf(model, math.exp(u)), TIGHT
-        )
+        result = _log_concave_integral(lambda u: u + _log_density(model, u), TIGHT)
         assert result == pytest.approx(0.0, abs=1e-12)
+
+    def test_calls_on_arrays(self):
+        # the probes, the bracket, each climb step, both walks and each
+        # round of panels are one call of g each: Phi(1.5) of Gamma(2, 1) is
+        # Gamma(2.5) / sqrt(2)
+        model = VERIFY_MODELS[1]
+        calls = []
+
+        def g(u):
+            calls.append(u.size)
+            return 1.5 * u + _log_density(model, u)
+
+        result = _log_concave_integral(g, TIGHT)
+        assert result == pytest.approx(log_gamma(2.5) - 0.5 * math.log(2.0), abs=1e-12)
+        assert len(calls) <= 8
 
     def test_non_convergence(self):
         # Int 1/(1 + x) dx diverges: g = u - ln(1 + e^u) rises to 0 and never
         # falls, so the walk reaches the end of the doubles and raises
         with pytest.raises(cs.NonConvergenceError):
             _log_concave_integral(
-                lambda u: u - math.log1p(math.exp(u)), Tolerance(1e-10, 1e-10, 50)
+                lambda u: u - np.log1p(np.exp(u)), Tolerance(1e-10, 1e-10, 50)
             )
         # Gamma(0.05) is finite, but its g = 0.05 u - e^u falls by 60 only
         # beyond u = -1200, where x = e^u has left the doubles
         with pytest.raises(cs.NonConvergenceError):
-            _log_concave_integral(lambda u: 0.05 * u - math.exp(u), TIGHT)
+            _log_concave_integral(lambda u: 0.05 * u - np.exp(u), TIGHT)
 
 
 def test_import_leaves_out_scipy_integrate():
