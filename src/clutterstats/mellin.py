@@ -15,6 +15,9 @@ Traitement du Signal 19(3), 2002).  A compound is the product of independent
 speckle and texture variates (a Mellin convolution), so its table is not
 written out: it is its declared components' tables (models.decompose)
 joined, and its transform factors and its log-cumulants add by construction.
+A model's form (its table, the gamma factors sorted and the strip's edges) is
+built on its first use and kept on the model, like its decomposition, so no
+closed form derives it again; factor_table returns fresh lists built from it.
 
 Two numerical routes double-check the closed forms: direct quadrature of
 the transform integral over the log-density (phi_numeric, which takes only
@@ -28,10 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
-from scipy.special import gamma as sc_gamma, loggamma
+from scipy.special import digamma, gamma as sc_gamma, gammaln, loggamma, zeta
 
 from .errors import (
     MomentDivergesError,
@@ -57,8 +60,6 @@ from .specfun import (
     DEFAULT_TOLERANCE,
     Tolerance,
     _log_concave_integral,
-    log_gamma,
-    polygamma,
 )
 
 __all__ = [
@@ -167,21 +168,13 @@ _SIMPLE_TABLES = {
 }
 
 
-def factor_table(model: ClutterModel):
-    """Mellin factor table (powers, gammas) of a model.
-
-    powers = [(num, den, e)] and gammas = [(a, q)] give
-    Phi(s) = prod (num/den)^(e*(s-1)) * prod Gamma(a + (s-1)/q) / Gamma(a),
-    and X = prod (num/den)^e * prod G_a^(1/q) with independent unit-scale
-    gamma variates G_a.  A compound's table is its speckle's and its
-    texture's (models.decompose) joined, gamma factors speckle first.
-    """
+def _table(model: ClutterModel):
     table = _SIMPLE_TABLES.get(type(model))
     if table is not None:
         return table(model)
     parts = decompose(model)
-    speckle_powers, speckle_gammas = factor_table(parts.speckle)
-    texture_powers, texture_gammas = factor_table(parts.texture)
+    speckle_powers, speckle_gammas = _table(parts.speckle)
+    texture_powers, texture_gammas = _table(parts.texture)
     # Scales of equal exponent merge into one whose numerator and denominator
     # are products of two factors, which do not depend on the order of the
     # components: gamma-gamma's table, and every result derived from it, is
@@ -194,35 +187,89 @@ def factor_table(model: ClutterModel):
     return powers, speckle_gammas + texture_gammas
 
 
+class _MellinForm(NamedTuple):
+    """A model's factor table, its gamma factors in ascending (a, q) order,
+    and its strip as bounds on d = s - 1: Gamma(a + d/q) has its first pole
+    at d = -a*q, below d = 0 for q > 0 and above it for q < 0, and -a*q is
+    exact where 1 - a*q can round onto 1."""
+
+    powers: tuple  # ((num, den, e), ...)
+    gammas: tuple  # ((a, q), ...) in the declared order
+    sorted_gammas: tuple
+    d_lower: float
+    d_upper: float
+
+
+def _build_form(model: ClutterModel) -> _MellinForm:
+    powers, gammas = _table(model)
+    d_lower, d_upper = -math.inf, math.inf
+    for a, q in gammas:
+        if q > 0:
+            d_lower = max(d_lower, -a * q)
+        else:
+            d_upper = min(d_upper, -a * q)
+    return _MellinForm(
+        tuple(powers), tuple(gammas), tuple(sorted(gammas)), d_lower, d_upper
+    )
+
+
+def _form(model: ClutterModel) -> _MellinForm:
+    """The model's Mellin form, built on its first use and kept in the
+    model's __dict__, as functools.cached_property keeps its decomposition:
+    a pure function of the parameters, so threads that both build it keep
+    equal forms."""
+    try:
+        return model.__dict__["_mellin_form"]
+    except KeyError:
+        form = model.__dict__["_mellin_form"] = _build_form(model)
+        return form
+    except AttributeError:
+        raise ParameterError(f"not a clutter model: {model!r}") from None
+
+
+def factor_table(model: ClutterModel):
+    """Mellin factor table (powers, gammas) of a model, as fresh lists.
+
+    powers = [(num, den, e)] and gammas = [(a, q)] give
+    Phi(s) = prod (num/den)^(e*(s-1)) * prod Gamma(a + (s-1)/q) / Gamma(a),
+    and X = prod (num/den)^e * prod G_a^(1/q) with independent unit-scale
+    gamma variates G_a.  A compound's table is its speckle's and its
+    texture's (models.decompose) joined, gamma factors speckle first.  The
+    table is built once per model and kept on it, like the decomposition;
+    changing the lists returned changes nothing else.
+    """
+    form = _form(model)
+    return list(form.powers), list(form.gammas)
+
+
 # The closed forms below accumulate gamma factors in ascending (a, q) order,
 # so their values do not depend on the order a table lists the factors in:
 # gamma-gamma results are bit-identical under the (L, M) swap.
 
 
-def _strip_of(gammas) -> AnalyticityStrip:
-    # Gamma(a + d/q) has its first pole at s = 1 - a*q: below s = 1 for q > 0,
-    # above it for q < 0.
-    lower, upper = -math.inf, math.inf
-    for a, q in gammas:
-        if q > 0:
-            lower = max(lower, 1.0 - a * q)
-        else:
-            upper = min(upper, 1.0 - a * q)
+def analyticity_strip(model: ClutterModel) -> AnalyticityStrip:
+    """Maximal open interval of real s on which the closed-form Phi is finite.
+
+    Raises NumericOverflowError where an edge lies so close to s = 1 (a
+    gamma factor's a*q below about 1e-16) that it rounds onto 1 in doubles;
+    the closed forms test s - 1 against the exact edges -a*q instead.
+    """
+    form = _form(model)
+    lower, upper = 1.0 + form.d_lower, 1.0 + form.d_upper
+    if not lower < 1.0 < upper:
+        raise NumericOverflowError(
+            f"analyticity strip of {model!r} has an edge within rounding of "
+            f"s=1: s - 1 lies in ({form.d_lower:g}, {form.d_upper:g})"
+        )
     return AnalyticityStrip(lower, upper)
 
 
-def analyticity_strip(model: ClutterModel) -> AnalyticityStrip:
-    """Maximal open interval of real s on which the closed-form Phi is finite."""
-    return _strip_of(factor_table(model)[1])
-
-
-def _check_strip(model: ClutterModel, gammas, s: float) -> float:
+def _check_strip(model: ClutterModel, form: _MellinForm, s: float) -> float:
     s = float(s)
-    strip = _strip_of(gammas)
-    if math.isnan(s) or not strip.contains(s):
+    if not form.d_lower < s - 1.0 < form.d_upper:
         raise StripError(
-            f"s={s!r} outside analyticity strip ({strip.lower:g}, "
-            f"{strip.upper:g}) of {type(model).__name__}"
+            f"s={s!r} outside analyticity strip ({1.0 + form.d_lower:g}, "
+            f"{1.0 + form.d_upper:g}) of {type(model).__name__}"
         )
     return s
 
@@ -244,12 +291,18 @@ def _log_ratio(num: float, den: float) -> float:
     return math.log(num) - math.log(den)
 
 
-def _psi_closed(powers, gammas, d: float) -> float:
+def _power_log(num: float, den: float, e: float, d: float) -> float:
+    """ln (num/den)^(e*d): 0 at d = 0 whatever the scale, even one that has
+    left the doubles, so Phi(1) = 1 for every model."""
+    return (e * d) * _log_ratio(num, den) if d else 0.0
+
+
+def _psi_closed(form: _MellinForm, d: float) -> float:
     # Each gamma term vanishes exactly at d = 0, so Psi(1) = 0 exactly.
     total = 0.0
-    for num, den, e in powers:
-        total += (e * d) * _log_ratio(num, den)
-    for a, q in sorted(gammas):
+    for num, den, e in form.powers:
+        total += _power_log(num, den, e, d)
+    for a, q in form.sorted_gammas:
         x = a + d / q
         if not x > 0.0:
             # s is inside the strip, but a + (s-1)/q rounds onto the pole
@@ -257,15 +310,20 @@ def _psi_closed(powers, gammas, d: float) -> float:
                 f"s - 1 = {d!r} puts Gamma({a:g} + (s-1)/{q:g}) on its pole "
                 f"in floating point"
             )
-        total += log_gamma(x) - log_gamma(a)
+        # x > 0 here and a > 0 in every valid model
+        total += float(gammaln(x)) - float(gammaln(a))
     return total
 
 
 def psi(model: ClutterModel, s: float) -> float:
-    """ln Phi(s), computed directly from log-gamma sums for stability."""
-    powers, gammas = factor_table(model)
-    s = _check_strip(model, gammas, s)
-    return _psi_closed(powers, gammas, s - 1.0)
+    """ln Phi(s), computed directly from log-gamma sums for stability.
+
+    Raises StripError where s is outside the analyticity strip, and
+    NumericOverflowError where a scale of the model is beyond the doubles.
+    """
+    form = _form(model)
+    s = _check_strip(model, form, s)
+    return _psi_closed(form, s - 1.0)
 
 
 def phi(model: ClutterModel, s: float) -> float:
@@ -275,26 +333,28 @@ def phi(model: ClutterModel, s: float) -> float:
     small-argument results exactly rounded (moments of integer order come out
     exact); a scale ratio that is not a normal double enters through its log
     (_log_ratio), and where a factor overflows this falls back to exp(psi).
-    Raises NumericOverflowError where Phi(s) is beyond the doubles.
+    Raises StripError where s is outside the analyticity strip, and
+    NumericOverflowError where Phi(s) or a scale of the model is beyond the
+    doubles.
     """
-    powers, gammas = factor_table(model)
-    s = _check_strip(model, gammas, s)
+    form = _form(model)
+    s = _check_strip(model, form, s)
     d = s - 1.0
     try:
         value = 1.0
-        for num, den, e in powers:
+        for num, den, e in form.powers:
             ratio = num / den if den else math.inf
             if _normal(ratio):
                 value *= math.pow(ratio, e * d)
             else:
-                value *= math.exp(e * d * _log_ratio(num, den))
-        for a, q in sorted(gammas):
+                value *= math.exp(_power_log(num, den, e, d))
+        for a, q in form.sorted_gammas:
             value *= float(sc_gamma(a + d / q)) / float(sc_gamma(a))
     except OverflowError:
         value = math.inf
     if math.isfinite(value) and value > 0.0:
         return value
-    return _exp_phi(model, s, _psi_closed(powers, gammas, d))
+    return _exp_phi(model, s, _psi_closed(form, d))
 
 
 def _exp_phi(model: ClutterModel, s: float, log_value: float) -> float:
@@ -311,25 +371,28 @@ def phi_numeric(
     """Phi(s) by quadrature of the transform integral in u = ln x,
     Int exp(s u + ln f(e^u)) du: independent of the closed forms, it goes
     through the log-density and specfun's whole-line quadrature only."""
-    s = _check_strip(model, factor_table(model)[1], s)
+    s = _check_strip(model, _form(model), s)
     log_value = _log_concave_integral(lambda u: s * u + _log_density(model, u), tol)
     return _exp_phi(model, s, log_value)
 
 
 def classical_moment(model: ClutterModel, n: int) -> float:
-    """Classical (first-kind) moment m_n = Phi(n + 1)."""
+    """Classical (first-kind) moment m_n = Phi(n + 1).
+
+    Raises MomentDivergesError where n + 1 is at or above the strip's upper
+    edge, and NumericOverflowError where m_n or a scale of the model is
+    beyond the doubles.
+    """
     if isinstance(n, bool) or not isinstance(n, int):
         raise ParameterError(f"moment order must be an integer, got {n!r}")
     if n < 1:
         raise ParameterError(f"moment order must be >= 1, got {n}")
-    strip = analyticity_strip(model)
-    s = float(n + 1)
-    if s >= strip.upper:
+    d_upper = _form(model).d_upper
+    if not n < d_upper:
         raise MomentDivergesError(
-            f"moment diverges (n >= {strip.upper - 1.0:g}) for "
-            f"{type(model).__name__}"
+            f"moment diverges (n >= {d_upper:g}) for {type(model).__name__}"
         )
-    return phi(model, s)
+    return phi(model, float(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +430,27 @@ def log_cumulants(model: ClutterModel, max_n: int) -> LogStats:
     scale, sum over power terms of e ln(base).  A valid model whose k_n is
     not a finite double raises NumericOverflowError.
     """
-    powers, gammas = factor_table(model)
-    gammas = sorted(gammas)
+    form = _form(model)
+    orders = range(2, _check_max_n(max_n) + 1)
     values = []
     try:
-        for n in range(1, _check_max_n(max_n) + 1):
+        total = 0.0
+        for num, den, e in form.powers:
+            total += e * _log_ratio(num, den)
+        for a, q in form.sorted_gammas:
+            total += float(digamma(a)) / q
+        values.append(total)
+        # psi^(n-1)(a) = (-1)^n (n-1)! zeta(n, a), specfun._polygamma_kernel's
+        # formula, for every order n >= 2 and every factor from one zeta call
+        rows = []
+        if orders:  # k1 alone, as the fits ask for, takes no zeta call
+            a = [a for a, _ in form.sorted_gammas]
+            rows = zeta(np.array(orders, dtype=float)[:, None], a).tolist()
+        for n, row in zip(orders, rows):
+            scale = (-1.0) ** n * math.factorial(n - 1)
             total = 0.0
-            if n == 1:
-                for num, den, e in powers:
-                    total += e * _log_ratio(num, den)
-            for a, q in gammas:
-                value = polygamma(n - 1, a)
-                total += value / q if n == 1 else q ** (-n) * value
+            for (_, q), z in zip(form.sorted_gammas, row):
+                total += q ** (-n) * (scale * z)
             values.append(total)
     except OverflowError:
         values.append(math.inf)
@@ -400,10 +472,10 @@ def log_cumulants_numeric(model: ClutterModel, max_n: int) -> LogStats:
     NumericOverflowError where k_n, r^n or a sample is not a finite double.
     """
     values = [0.0] * _check_max_n(max_n)
-    powers, gammas = factor_table(model)
-    values[0] = sum(e * _log_ratio(num, den) for num, den, e in powers)
+    form = _form(model)
+    values[0] = sum(e * _log_ratio(num, den) for num, den, e in form.powers)
     try:
-        for a, q in sorted(gammas):
+        for a, q in form.sorted_gammas:
             r = 0.5 * a * abs(q)
             with np.errstate(all="ignore"):  # a value that is not finite raises below
                 samples = loggamma(a + (r / q) * _CIRCLE) - loggamma(a)

@@ -6,12 +6,15 @@ the Mellin convolution of the components it declares."""
 
 import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clutterstats as cs
+from clutterstats import mellin
+from clutterstats.specfun import polygamma
 from clutterstats.verify import _QUAD_TOL, _convolution
 
 from conftest import cumulant_scale
@@ -144,6 +147,108 @@ def test_log_cumulants_match_numeric_oracle(family, data):
     for n in range(1, 7):
         error = abs(closed.order(n) - numeric.order(n))
         assert error <= 1e-12 * cumulant_scale(model, n), f"order {n}"
+
+
+def _log_uniform_model(data, family):
+    cls = cs.FAMILIES[family]
+    fields = {f.name: LOG_UNIFORM for f in dataclasses.fields(cls)}
+    return data.draw(st.builds(cls, **fields))
+
+
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except cs.ClutterStatsError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_log_cumulants_match_scalar_polygamma(family, data):
+    # the one zeta call gives, bit for bit, what a scalar polygamma per
+    # order and factor gives, summed in the same (sorted) order
+    model = _log_uniform_model(data, family)
+    powers, gammas = cs.factor_table(model)
+    expected = []
+    for n in range(1, 7):
+        total = 0.0
+        if n == 1:
+            for num, den, e in powers:
+                total += e * math.log(num / den)
+        for a, q in sorted(gammas):
+            value = polygamma(n - 1, a)
+            total += value / q if n == 1 else q ** (-n) * value
+        expected.append(total)
+    assert cs.log_cumulants(model, 6).values == tuple(expected)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_kept_form_changes_no_value(family, data):
+    # a model whose form is kept gives the values, and is the value, of the
+    # same model built afresh
+    model = _log_uniform_model(data, family)
+    strip = cs.analyticity_strip(model)
+    lo, hi = max(strip.lower, -5.0), min(strip.upper, 5.0)
+    fractions = data.draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3))
+    points = [lo + t * (hi - lo) for t in fractions]
+    cs.log_cumulants(model, 6)
+    assert "_mellin_form" in vars(model)
+    fresh = dataclasses.replace(model)
+    assert "_mellin_form" not in vars(fresh)
+    for s in points:
+        for function in (cs.phi, cs.psi):
+            kept = _value_or_error(function, model, s)
+            assert kept == _value_or_error(function, fresh, s)
+    assert model == fresh and hash(model) == hash(fresh)
+    assert repr(model) == repr(fresh)
+    assert cs.model_to_dict(model) == cs.model_to_dict(fresh)
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy == model and cs.log_cumulants(copy, 6) == cs.log_cumulants(fresh, 6)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [cs.GammaGamma(L=2.0, M=3.0, mu=1.5), cs.Fisher(L=2.0, M=4.5, mu=1.0)],
+    ids=repr,
+)
+def test_form_is_built_once(model, monkeypatch):
+    builds, decompositions = [], []
+    build, decompose = mellin._build_form, mellin.decompose
+
+    def counted_build(m):
+        builds.append(m)
+        return build(m)
+
+    def counted_decompose(m):
+        decompositions.append(m)
+        return decompose(m)
+
+    monkeypatch.setattr(mellin, "_build_form", counted_build)
+    monkeypatch.setattr(mellin, "decompose", counted_decompose)
+    model = dataclasses.replace(model)  # nothing kept from other tests
+    for s in (0.5, 1.0, 1.5, 2.5):
+        cs.phi(model, s)
+    for s in (0.5, 1.0, 1.5, 2.5):
+        cs.psi(model, s)
+    for n in (1, 2, 3):
+        cs.classical_moment(model, n)
+    cs.log_moments(model, 4)
+    cs.log_cumulants(model, 6)
+    assert builds.count(model) == 1
+    assert decompositions == [model]
+
+
+def test_factor_table_returns_fresh_lists():
+    model = cs.Fisher(L=2.0, M=3.0, mu=1.5)
+    before = cs.phi(model, 1.5), cs.factor_table(model)
+    powers, gammas = cs.factor_table(model)
+    powers.clear()
+    gammas[0] = (9.0, 1.0)
+    gammas.append((0.5, -1.0))
+    assert (cs.phi(model, 1.5), cs.factor_table(model)) == before
 
 
 def _check_phi_against_quadrature(family, data, shape_hi=1000.0):

@@ -53,6 +53,63 @@ class TestAnalyticityStrip:
             assert strip.lower < 1.0 < strip.upper
 
 
+# Valid models whose strip edge 1 - a*q rounds onto 1 in doubles: a*q is
+# 1e-300 (Gamma's L, Weibull's 1/q = b) or 1e-200 (both gamma-gamma shapes)
+EDGE_ON_ONE = [
+    cs.Gamma(L=1e-300, mu=1.0),
+    cs.Weibull(b=1e-300, z=1.0),
+    cs.GammaGamma(L=1e-200, M=1e-200, mu=1.0),
+]
+
+
+class TestStripEdgeOnOne:
+    @pytest.mark.parametrize("model", EDGE_ON_ONE, ids=repr)
+    def test_normalization_exact(self, model):
+        # s - 1 = 0 lies above the exact edge -a*q; at d = 0 even
+        # gamma-gamma's merged scale 1/(L M) = 1e400, beyond the doubles,
+        # drops out
+        assert cs.phi(model, 1.0) == 1.0
+        assert cs.psi(model, 1.0) == 0.0
+
+    @pytest.mark.parametrize("model", EDGE_ON_ONE, ids=repr)
+    def test_strip_is_a_typed_error(self, model):
+        with pytest.raises(cs.NumericOverflowError, match="within rounding of s=1"):
+            cs.analyticity_strip(model)
+        # the largest double below 1 lies below the edge 1 - a*q
+        for function in (cs.phi, cs.psi):
+            with pytest.raises(cs.StripError):
+                function(model, math.nextafter(1.0, 0.0))
+
+    def test_gamma_values(self):
+        model = EDGE_ON_ONE[0]
+        assert abs(cs.classical_moment(model, 1) - 1.0) <= 2.0 * math.ulp(1.0)
+        with mpmath.workdps(30):
+            L = mpmath.mpf(model.L)
+            expected = mpmath.gamma(L + 0.5) / (mpmath.sqrt(L) * mpmath.gamma(L))
+            log_expected = float(mpmath.log(expected))
+            expected = float(expected)
+        assert cs.phi(model, 1.5) == pytest.approx(expected, rel=1e-14)
+        assert cs.psi(model, 1.5) == pytest.approx(log_expected, rel=1e-15)
+
+    def test_beyond_the_doubles_is_typed(self):
+        # Weibull's Phi(s) = Gamma(1 + (s-1)/b) overflows for any s > 1, and
+        # its ln is a double; gamma-gamma's merged scale is not a double
+        weibull, gamma_gamma = EDGE_ON_ONE[1:]
+        with mpmath.workdps(30):
+            b = mpmath.mpf(weibull.b)
+            expected = float(mpmath.loggamma(1 + mpmath.mpf(0.5) / b))
+        assert cs.psi(weibull, 1.5) == pytest.approx(expected, rel=1e-15)
+        for function, model, arg in (
+            (cs.phi, weibull, 1.5),
+            (cs.classical_moment, weibull, 1),
+            (cs.phi, gamma_gamma, 1.5),
+            (cs.psi, gamma_gamma, 1.5),
+            (cs.classical_moment, gamma_gamma, 1),
+        ):
+            with pytest.raises(cs.NumericOverflowError):
+                function(model, arg)
+
+
 class TestPhi:
     def test_normalization_exact(self):
         for model in ALL_MODELS:

@@ -156,9 +156,13 @@ class TestLogConcaveIntegral:
 def test_import_leaves_out_scipy_integrate():
     # specfun's Gauss-Kronrod panels are the package's one quadrature engine,
     # the fit solves its shapes by its own Newton steps, and mpmath and
-    # hypothesis are test-only extras (pyproject.toml)
+    # hypothesis are test-only extras (pyproject.toml); the CLI, whose start
+    # pays for every import, loads none of them either
     modules = ("scipy.integrate", "scipy.optimize", "mpmath", "hypothesis")
-    code = f"import sys, clutterstats; print([m for m in {modules!r} if m in sys.modules])"
+    code = (
+        "import sys, clutterstats, clutterstats.cli; "
+        f"print([m for m in {modules!r} if m in sys.modules])"
+    )
     src = os.path.dirname(os.path.dirname(cs.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
