@@ -60,21 +60,25 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pdf", help="evaluate a density")
+    p.set_defaults(handler=_cmd_pdf)
     _add_model_flags(p)
     p.add_argument("--x", type=float, required=True)
     _add_format_flag(p)
 
     p = sub.add_parser("phi", help="second-kind characteristic function")
+    p.set_defaults(handler=_cmd_phi)
     _add_model_flags(p)
     p.add_argument("--s", type=float, required=True)
     _add_format_flag(p)
 
     p = sub.add_parser("moments", help="classical moment of order n")
+    p.set_defaults(handler=_cmd_moments)
     _add_model_flags(p)
     p.add_argument("--n", type=int, required=True)
     _add_format_flag(p)
 
     p = sub.add_parser("cumulants", help="log-cumulants up to order n")
+    p.set_defaults(handler=_cmd_cumulants)
     _add_model_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
@@ -88,11 +92,13 @@ def build_parser() -> _Parser:
     _add_format_flag(p)
 
     p = sub.add_parser("fit", help="method-of-log-cumulants fit from samples")
+    p.set_defaults(handler=_cmd_fit)
     p.add_argument("--family", required=True)
     p.add_argument("--input", required=True, help="CSV file with header 'value'")
     _add_format_flag(p, default="json")
 
     p = sub.add_parser("simulate", help="draw samples to a CSV file")
+    p.set_defaults(handler=_cmd_simulate)
     _add_model_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
@@ -100,6 +106,7 @@ def build_parser() -> _Parser:
     _add_format_flag(p)
 
     p = sub.add_parser("figure1", help="texture log-cumulant sweep")
+    p.set_defaults(handler=_cmd_figure1)
     p.add_argument("--L", type=float, default=4.0)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument(
@@ -113,6 +120,7 @@ def build_parser() -> _Parser:
     _add_format_flag(p)
 
     p = sub.add_parser("verify", help="run the oracle cross-check suite")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--tolerance", type=float, default=1e-6)
     _add_format_flag(p)
 
@@ -279,18 +287,6 @@ def _cmd_verify(ns) -> int:
     return _EXIT_OK if ok else _EXIT_NUMERIC
 
 
-_COMMANDS = {
-    "pdf": _cmd_pdf,
-    "phi": _cmd_phi,
-    "moments": _cmd_moments,
-    "cumulants": _cmd_cumulants,
-    "fit": _cmd_fit,
-    "simulate": _cmd_simulate,
-    "figure1": _cmd_figure1,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv) -> int:
     """Parse argv (without the program name) and execute; returns exit code."""
     parser = build_parser()
@@ -299,7 +295,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else _EXIT_OK
     try:
-        return _COMMANDS[ns.command](ns)
+        return ns.handler(ns)
     except _UsageError as exc:
         print(f"clutterstats: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -25,7 +25,7 @@ exponential.  The oracles integrate it over arrays of u.  Each family is a
 product of independent gamma powers, so ln X has a log-concave density: the
 oracles' integrands are concave in ln x, and a density that broke that would
 fail a cross-check, not pass it.  ln K_nu (from ln w) and the
-Weibull-Nakagami texture integral, one per element, come from specfun.
+Weibull-Nakagami texture integral come from specfun, on the same arrays.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .specfun import (
     _LN2,
     _LOG_MAX,
     Tolerance,
-    _log_kve_array,
+    _log_kve,
     _log_peak_integral,
 )
 
@@ -453,7 +453,7 @@ def _bessel_log_f(log_scale, nu: float, log_w: np.ndarray) -> np.ndarray:
     beyond the doubles (the densities carry e^-w), from the scaled Bessel K
     taken where it is not."""
     near = np.minimum(log_w, _LOG_MAX)
-    value = log_scale + _log_kve_array(nu, near) - np.exp(near)
+    value = log_scale + _log_kve(nu, near) - np.exp(near)
     return np.where(log_w > _LOG_MAX, -math.inf, value)
 
 

@@ -1,19 +1,20 @@
 """Special functions, ln K_nu and the one quadrature engine (Gauss-Kronrod
 7-15 panels over the whole line for exp(g), g concave).
 
-The special functions are thin validated wrappers over scipy.special.  Where
-kve fails, ln K_nu comes from closed forms for arguments below 1e-20 and for
-sqrt(nu^2 + w^2) >= 2^30, and otherwise from K_nu's integral on the whole
-line, which has the form of the Weibull-Nakagami texture integral,
-Int exp(A u - e^(q (b - u)) - e^(p (u - a))) du; one routine evaluates both,
-on arrays: each element its own integral, all of their panels summed
-together (the Bessel factor's is the one-element case).  The oracles'
-integrals, Phi(s) and the Mellin convolution, have g a sum of log-densities,
-written on arrays in u = ln x (models), and a linear term, and call g on
-arrays only: every family is a product of independent gamma powers, so ln X
-has a log-concave density (Prekopa 1973) and g one peak, found with no scan.
-A density that broke that would give a wrong integral, so a failed check,
-not a pass.
+The special functions are thin validated wrappers over scipy.special.
+ln K_nu is taken on arrays of ln w: where kve fails, from closed forms for
+arguments below 1e-20 and for sqrt(nu^2 + w^2) >= 2^30, and otherwise from
+K_nu's integral on the whole line, which has the form of the
+Weibull-Nakagami texture integral,
+Int exp(A u - e^(q (b - u)) - e^(p (u - a))) du; one routine evaluates
+both, on arrays: each element its own integral, all of their panels summed
+together (one call for all the Bessel elements that need it).  The
+oracles' integrals, Phi(s) and the Mellin convolution, have g a sum of
+log-densities, written on arrays in u = ln x (models), and a linear term,
+and call g on arrays only: every family is a product of independent gamma
+powers, so ln X has a log-concave density (Prekopa 1973) and g one peak,
+found with no scan.  A density that broke that would give a wrong
+integral, so a failed check, not a pass.
 """
 
 from __future__ import annotations
@@ -123,11 +124,13 @@ _KVE_MAX = 2.0**30  # kve returns nan once w or nu passes this (AMOS's limit)
 _ZETA3, _ZETA5 = 1.2020569031595942, 1.03692775514337  # zeta(3), zeta(5)
 
 
-def _log_kve(nu: float, log_w: float) -> float:
-    """ln(K_nu(w) e^w) for w = e^log_w, the log of the scaled Bessel K.
-
-    Where kve fails, one of three forms takes over, each accurate to rounding
-    in its range:
+@np.errstate(all="ignore")  # where K_nu is not in doubles the result is nan
+def _log_kve(nu: float, log_w):
+    """ln(K_nu(w) e^w) for w = e^log_w, the log of the scaled Bessel K,
+    elementwise over the array (or float) log_w; nan for w = 0, infinite or
+    nan, at orders beyond 1e13 (where the densities' log terms round by over
+    1e-3), and where the integral below fails.  Where kve fails, one of three
+    forms takes over, each accurate to rounding in its range:
     - w below 1e-20 (below the normal doubles, or where kve overflows at
       orders from about 1), where (w/2)^2 is lost beside 1: with
       L = ln(2/w), 2 nu K_nu(w) = Gamma(1 + nu) e^(nu L) - Gamma(1 - nu)
@@ -138,72 +141,63 @@ def _log_kve(nu: float, log_w: float) -> float:
     - else (kve overflows, at orders above 1): DLMF 10.32.9 on the whole line,
       in t = u + ln 2 so that the larger term takes ln w unrounded (the
       rounding of ln(w/2), times about R, would move the result):
-      2 K_nu(w) = 2^nu Int exp(nu u - e^(ln(w/4) - u) - e^(u + ln w)) du.
+      2 K_nu(w) = 2^nu Int exp(nu u - e^(ln(w/4) - u) - e^(u + ln w)) du,
+      one _log_peak_integral for all such elements.
     """
-    w = math.exp(log_w)
-    value = float(scipy.special.kve(nu, w))
-    if math.isfinite(value) and value > 0.0:
-        return math.log(value)
+    log_w = np.asarray(log_w, dtype=float)
+    shape, log_w = log_w.shape, log_w.ravel()
+    w = np.exp(log_w)
+    value = scipy.special.kve(nu, w)
+    out = np.log(value)
+    failed = ~(np.isfinite(value) & (value > 0.0))
+    if not np.count_nonzero(failed):
+        return out.reshape(shape)[()]
+    out[failed] = math.nan
     nu = abs(nu)
-    if not (math.isfinite(log_w) and nu < 1e13):
-        # (beyond order 1e13 the densities' log terms round by over 1e-3)
-        raise NumericOverflowError(
-            f"Bessel factor not representable (nu={nu:g}, ln w={log_w:g})"
-        )
-    if log_w < _LOG_SMALL_W:
-        L = _LN2 - log_w
+    failed &= np.isfinite(log_w) & (nu < 1e13)
+    small = failed & (log_w < _LOG_SMALL_W)
+    if np.count_nonzero(small):  # (most calls have none)
+        L, x = _LN2 - log_w[small], w[small]
         if nu >= 0.5:
-            return float(scipy.special.gammaln(nu)) + nu * L - _LN2 + w
-        # 2 nu K_nu(w) = Gamma(1 + nu) e^(nu L) (1 - e^(-2 z)) with
-        # z = nu (L + slope), slope = (ln Gamma(1+nu) - ln Gamma(1-nu)) / (2 nu)
-        # = -gamma - zeta(3) nu^2 / 3 - zeta(5) nu^4 / 5 - ... as nu -> 0
-        log_gamma = float(scipy.special.gammaln(1.0 + nu))
-        if nu < 1e-3:
-            v = nu * nu
-            slope = -np.euler_gamma - v * (_ZETA3 / 3.0 + v * _ZETA5 / 5.0)
+            out[small] = scipy.special.gammaln(nu) + nu * L - _LN2 + x
         else:
-            slope = 0.5 * (log_gamma - float(scipy.special.gammaln(1.0 - nu))) / nu
-        z = nu * (L + slope)
-        tail = math.log(-math.expm1(-2.0 * z) / (2.0 * z)) if z > 0.0 else 0.0
-        return log_gamma + nu * L + math.log(L + slope) + tail + w
-    r = math.hypot(nu, w)
-    if r >= _KVE_MAX:
+            # 2 nu K_nu(w) = Gamma(1 + nu) e^(nu L) (1 - e^(-2 z)) with
+            # z = nu (L + slope), slope = (ln Gamma(1+nu) - ln Gamma(1-nu)) / (2 nu)
+            # = -gamma - zeta(3) nu^2 / 3 - zeta(5) nu^4 / 5 - ... as nu -> 0
+            log_gamma = scipy.special.gammaln(1.0 + nu)
+            if nu < 1e-3:
+                v = nu * nu
+                slope = -np.euler_gamma - v * (_ZETA3 / 3.0 + v * _ZETA5 / 5.0)
+            else:
+                slope = 0.5 * (log_gamma - scipy.special.gammaln(1.0 - nu)) / nu
+            z = nu * (L + slope)
+            tail = np.where(z > 0.0, np.log(-np.expm1(-2.0 * z) / (2.0 * z)), 0.0)
+            out[small] = log_gamma + nu * L + np.log(L + slope) + tail + x
+    failed &= ~small
+    r = np.hypot(nu, w)
+    debye = failed & (r >= _KVE_MAX)
+    if np.count_nonzero(debye):
         # the prefactor is sqrt(pi / (2 R)), -nu eta + w is
         # nu asinh(nu / w) - nu^2 / (w + R), and U_1(p) / nu with p = nu / R
-        # is (3 - 5 p^2) / (24 R)
-        p, ratio = nu / r, nu / w  # (ratio is inf only for w below 1e-295)
-        peak = math.asinh(ratio) if ratio < math.inf else math.log(nu + r) - log_w
-        return (
-            0.5 * math.log(0.5 * math.pi / r)
-            + nu * peak
-            - nu * nu / (w + r)
-            + math.log1p(-(3.0 - 5.0 * p * p) / (24.0 * r))
+        # is (3 - 5 p^2) / (24 R) (w >= 1e-20 here, so nu / w is finite)
+        r, x = r[debye], w[debye]
+        p = nu / r
+        out[debye] = (
+            0.5 * np.log(0.5 * math.pi / r)
+            + nu * np.arcsinh(nu / x)
+            - nu * nu / (x + r)
+            + np.log1p(-(3.0 - 5.0 * p * p) / (24.0 * r))
         )
-    # the integrand's terms, about sqrt(nu) in size near its peak, round to
-    # about eps sqrt(nu), and the integral is no more accurate than that
-    tol = Tolerance(abs_tol=1e-300, rel_tol=max(1e-13, 1e-14 * math.sqrt(nu)))
-    (log_integral,) = _log_peak_integral(
-        nu, 1.0, [log_w - 2 * _LN2], 1.0, -log_w, tol, [(nu - 1.0) * _LN2], -math.inf
-    )
-    if math.isnan(log_integral):
-        raise NonConvergenceError(
-            f"Bessel factor integral failed (nu={nu:g}, ln w={log_w:g})"
-        )
-    return float(log_integral) + w
-
-
-def _log_kve_array(nu: float, log_w: np.ndarray) -> np.ndarray:
-    """_log_kve elementwise over an array log_w: kve on the whole array,
-    _log_kve's fallbacks on the elements where it fails, and nan where those
-    raise."""
-    value = scipy.special.kve(nu, np.exp(log_w))
-    out = np.log(value)
-    for i in np.flatnonzero(~(np.isfinite(value) & (value > 0.0))):
-        try:
-            out.flat[i] = _log_kve(nu, log_w.flat[i].item())
-        except (NonConvergenceError, NumericOverflowError):
-            out.flat[i] = math.nan
-    return out
+    failed &= ~debye
+    if np.count_nonzero(failed):
+        # the integrand's terms, about sqrt(nu) in size near its peak, round to
+        # about eps sqrt(nu), and the integral is no more accurate than that
+        tol = Tolerance(abs_tol=1e-300, rel_tol=max(1e-13, 1e-14 * math.sqrt(nu)))
+        lw = log_w[failed]
+        out[failed] = _log_peak_integral(
+            nu, 1.0, lw - 2 * _LN2, 1.0, -lw, tol, (nu - 1.0) * _LN2, -math.inf
+        ) + w[failed]
+    return out.reshape(shape)[()]
 
 
 _PEAK_DROP = 60.0  # the integral's range ends where its exponent falls this far
@@ -234,10 +228,11 @@ def _peak_drop(d, e1, t1, q, e2, t2, p):
 
 def _newton_peak(A, q, b, p, a, lo, hi):
     """The peaks of g(u) = A u - e^(q (b - u)) - e^(p (u - a)) for the
-    elements of the array b, each in its bracket [lo, hi], and a mask of the
-    elements not found in 100 steps.  Each step is Newton's on g', bisected
-    back into the bracket; where a term e^t would overflow, g' has the sign
-    of B - C, and the step bisects.  Found elements leave the iteration."""
+    elements of the arrays b and a, each in its bracket [lo, hi], and a mask
+    of the elements not found in 100 steps.  Each step is Newton's on g',
+    bisected back into the bracket; where a term e^t would overflow, g' has
+    the sign of B - C, and the step bisects.  Found elements leave the
+    iteration."""
     peak = np.zeros(b.size)
     failed = np.ones(b.size, dtype=bool)
     index = np.arange(b.size)
@@ -268,7 +263,7 @@ def _newton_peak(A, q, b, p, a, lo, hi):
             peak[index[found]] = u[found] + last
             failed[index[found]] = False
             rest = ~found
-            index, b, lo, hi = index[rest], b[rest], lo[rest], hi[rest]
+            index, b, a, lo, hi = index[rest], b[rest], a[rest], lo[rest], hi[rest]
             u, ahead, length = u[rest], ahead[rest], length[rest]
             if not index.size:
                 break
@@ -282,35 +277,37 @@ def _log_peak_integral(
     q: float,
     b,
     p: float,
-    a: float,
+    a,
     tol: Tolerance,
     log_scale,
     floor: float,
 ) -> np.ndarray:
     """log_scale + ln Int exp(g(u)) du over the whole line, elementwise over
-    the arrays b and log_scale, to tol relative to the integral of
-    exp(g - g(peak)), for g(u) = A u - e^(q (b - u)) - e^(p (u - a)) with
-    q, p > 0.  Without quadrature, -inf where log_scale + g(peak) plus the
-    log of the widest range the walk below could take, or of the range it
-    took, is below floor (the integrand is at most e^g(peak) on the range),
-    or where a term overflows at the peak; nan where an element fails.
-    g'' < 0, so g has one peak, where g' = A + B - C = 0 with
-    B = q e^(q (b - u)) falling and C = p e^(p (u - a)) rising.
+    the arrays (or floats) b, a and log_scale, to tol relative to the
+    integral of exp(g - g(peak)), for g(u) = A u - e^(q (b - u)) -
+    e^(p (u - a)) with q, p > 0.  Without quadrature, -inf where
+    log_scale + g(peak) plus the log of the widest range the walk below
+    could take, or of the range it took, is below floor (the integrand is at
+    most e^g(peak) on the range), or where a term overflows at the peak; nan
+    where an element fails.  g'' < 0, so g has one peak, where
+    g' = A + B - C = 0 with B = q e^(q (b - u)) falling and
+    C = p e^(p (u - a)) rising.
 
     For A > 0, g' >= 0 at lo, the larger of the points where B = C and
     C = A, and as B falls, g' <= 0 where C = A + B(lo), at most ln(2)/p
     beyond lo (where C has doubled); for A <= 0, g' <= 0 at hi, the smaller
     of the points where B = C and B = -A, and as C rises, g' >= 0 where
     B = C(hi) - A, at most ln(2)/q before hi.  _newton_peak finds the peak
-    in that bracket (nan where it does not).  A walk in doubling steps of the peak width goes out each way
-    until g has fallen 60 below the peak (by concavity the mass beyond is
-    below e^-60 of the whole), two Gauss-Kronrod panels a step, at most
-    max_subdivisions/4 steps a side, else nan; a term e^(t + y) is not taken
-    past the point where it would overflow, and if g has not fallen there,
-    nan.  Every element's panels are summed in one _panel_quadrature.
+    in that bracket (nan where it does not).  A walk in doubling steps of
+    the peak width goes out each way until g has fallen 60 below the peak
+    (by concavity the mass beyond is below e^-60 of the whole), two
+    Gauss-Kronrod panels a step, at most max_subdivisions/4 steps a side,
+    else nan; a term e^(t + y) is not taken past the point where it would
+    overflow, and if g has not fallen there, nan.  Every element's panels
+    are summed in one _panel_quadrature.
     """
     b = np.array(b, dtype=float).ravel()
-    log_scale = np.asarray(log_scale, dtype=float).ravel()
+    a, log_scale = (np.full(b.shape, np.ravel(x)) for x in (a, log_scale))
     m = (math.log(q) - math.log(p) + q * b + p * a) / (p + q)  # B = C
     if A > 0.0:
         lo = np.maximum(m, a + (math.log(A) - math.log(p)) / p)  # C = A
@@ -332,7 +329,8 @@ def _log_peak_integral(
     live = ~(log_scale + bound + np.log(np.maximum(span, 0.0)) < floor)
     result = np.full(b.size, -math.inf)
     if np.count_nonzero(live) < b.size:
-        b, log_scale, lo, hi = b[live], log_scale[live], lo[live], hi[live]
+        b, a, log_scale = b[live], a[live], log_scale[live]
+        lo, hi = lo[live], hi[live]
     u, out_of_steps = _newton_peak(A, q, b, p, a, lo, hi)
     # move u by at most an ulp so that the larger term's exponent is exact:
     # its rounding, times the term, would move the result

@@ -15,11 +15,12 @@ that broke that would fail its check, not pass it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List
 
 from . import mellin
-from .errors import ClutterStatsError
+from .errors import ClutterStatsError, ParameterError
 from .models import (
     COMPOUND_FAMILY_TYPES,
     ClutterModel,
@@ -129,7 +130,11 @@ def _convolution_rows(model: ClutterModel, tolerance: float):
 
 
 def run_suite(tolerance: float = 1e-6) -> List[Check]:
-    """Run all cross-checks at the given relative tolerance."""
+    """Run all cross-checks at the given relative tolerance, a finite real
+    number (else ParameterError: inf would pass every check with error 0, and
+    nan fail every check as if the numerics had); one <= 0 fails them all."""
+    if not (isinstance(tolerance, numbers.Real) and math.isfinite(tolerance)):
+        raise ParameterError(f"tolerance must be a finite number, got {tolerance!r}")
     compounds = [m for m in VERIFY_MODELS if isinstance(m, COMPOUND_FAMILY_TYPES)]
     return [
         _worst(f"{title} [{model.family}]", tolerance, rows(model, tolerance))

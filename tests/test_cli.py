@@ -1,10 +1,12 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 
 import clutterstats as cs
+from clutterstats import verify
 from clutterstats.cli import run
 
 
@@ -358,3 +360,18 @@ class TestVerifyCommand:
         code, out, _ = invoke(capsys, "verify", "--tolerance", "1e-15")
         assert code == 2
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan"])
+    def test_non_finite_tolerance_is_domain_error(self, capsys, tolerance):
+        # an infinite tolerance would pass every check with err=0, and the
+        # JSON would carry Infinity or NaN, which are not JSON
+        code, out, err = invoke(capsys, "verify", f"--tolerance={tolerance}")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "tolerance" in err
+
+    @pytest.mark.parametrize("tolerance", [math.inf, -math.inf, math.nan, "1e-6"])
+    def test_suite_rejects_non_finite_tolerance(self, tolerance):
+        with pytest.raises(cs.ParameterError, match="tolerance"):
+            verify.run_suite(tolerance)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import kve
 
 import clutterstats as cs
+from clutterstats import specfun
 from clutterstats.models import _log_density
 from clutterstats.specfun import Tolerance, _gauss_kronrod, _log_kve
 from clutterstats.verify import _convolution
@@ -626,11 +627,57 @@ class TestBesselOverflow:
     def test_finite_kve_path_unchanged(self):
         assert _log_kve(2.5, 1.1) == math.log(kve(2.5, math.exp(1.1)))
 
-    @pytest.mark.parametrize("nu, log_w", [(3.0, -math.inf), (1e200, -230.0)])
-    def test_out_of_range_raises_overflow(self, nu, log_w):
-        # an argument of exactly 0 (K_3(0) is infinite), and orders beyond 1e13
+    @pytest.mark.parametrize(
+        "nu, log_w, model",
+        [
+            (3.0, -math.inf, cs.GammaGamma(1.0, 1e14, 1.0)),
+            (1e200, -230.0, cs.KAmplitude(2e13, 1.0, 1.0)),
+        ],
+    )
+    def test_out_of_range_raises_overflow(self, nu, log_w, model):
+        # an argument of exactly 0 (K_3(0) is infinite), and orders beyond
+        # 1e13, are nan in ln K_nu, and the densities' one-point edge raises
+        assert math.isnan(_log_kve(nu, log_w))
         with pytest.raises(cs.NumericOverflowError):
-            _log_kve(nu, log_w)
+            cs.log_pdf(model, 1.0)
+
+    def test_array_equals_one_element_calls(self, monkeypatch):
+        # one array per order, mixing every regime: finite kve; ln w = -1000,
+        # below the doubles; w = 1e-200, where kve overflows from order about
+        # 1; R >= 2^30; the integral form at orders 800 and 1e4 (w from 1e-4
+        # to nu); ln w = -inf; and order 2e13, beyond the forms' range
+        log_w = np.array(
+            [1.1, -1000.0, math.log(1e-200), math.log(3e9), -math.inf]
+            + [math.log(w) for w in (1e-4, 10.0, 800.0, 1e4)]
+        )
+        integrals = []
+        peak_integral = specfun._log_peak_integral
+
+        def counted(*args):
+            integrals.append(args)
+            return peak_integral(*args)
+
+        monkeypatch.setattr(specfun, "_log_peak_integral", counted)
+        for nu in (0.0, 5e-4, 0.3, 2.0, 800.0, 1e4, 2e13):
+            integrals.clear()
+            values = _log_kve(nu, log_w)
+            # one integral for all of an order's integral-form elements
+            assert len(integrals) == (nu in (800.0, 1e4))
+            singles = np.array([_log_kve(nu, x) for x in log_w.tolist()])
+            assert np.array_equal(values, singles, equal_nan=True)
+            assert np.isnan(values).tolist() == [
+                x == -math.inf or nu == 2e13 for x in log_w.tolist()
+            ]
+
+    @pytest.mark.parametrize(
+        "model",
+        [cs.GammaGamma(330.2, 0.468, 0.177), cs.KAmplitude(806.3, 1.51, 0.43)],
+    )
+    def test_phi_numeric_at_large_order(self, model):
+        # Bessel orders of 330 and 805, where kve overflows over most of the
+        # quadrature's points
+        closed = cs.phi(model, 1.5)
+        assert abs(cs.phi_numeric(model, 1.5) - closed) <= 1e-12 * closed
 
     def test_gamma_gamma_far_apart_shapes(self):
         model = cs.GammaGamma(
