@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import MISSING, asdict, fields
 
@@ -36,6 +37,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -N and -N.N as numbers; here -5e-1 and -inf are too
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     # argparse exits 2 on bad usage by default; this CLI reserves 2 for
     # numeric failures and uses 1 for usage problems
     def error(self, message):
@@ -242,11 +248,9 @@ def _cmd_simulate(ns) -> int:
 
 
 def _parse_grid(spec: str):
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise _UsageError(f"--m-grid must be lo:hi:points, got {spec!r}")
     try:
-        lo, hi, points = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, points = spec.split(":")
+        lo, hi, points = float(lo), float(hi), int(points)
     except ValueError:
         raise _UsageError(f"--m-grid must be lo:hi:points, got {spec!r}") from None
     if points < 1 or lo <= 0 or hi < lo:

@@ -41,6 +41,7 @@ from .errors import (
     EmptySampleError,
     InfeasibleCumulantsError,
     NonConvergenceError,
+    NumericOverflowError,
     ParameterError,
 )
 from .mellin import (
@@ -51,6 +52,7 @@ from .mellin import (
     convert,
 )
 from .models import (
+    _LOG_HUGE,
     ClutterModel,
     Exponential,
     Fisher,
@@ -439,7 +441,13 @@ def _molc_solve(spec: _FitSpec, k: Sequence[float]):
             fields[name] = float(a if kind == "a" else q)
     unit = spec.model(**fields, **{spec.scale: 1.0})
     k1_unit = mellin.log_cumulants(unit, 1).values[0]
-    fields[spec.scale] = math.exp((k[0] - k1_unit) / spec.power)
+    log_scale = (k[0] - k1_unit) / spec.power
+    fields[spec.scale] = math.exp(log_scale) if log_scale <= _LOG_HUGE else math.inf
+    if not 0.0 < fields[spec.scale] < math.inf:
+        raise NumericOverflowError(
+            f"fitted {spec.scale} of {spec.model.family!r} is not a positive "
+            f"finite double: ln {spec.scale} = {log_scale:g}"
+        )
     return spec.model(**fields), iterations
 
 
@@ -558,7 +566,8 @@ def fit_molc(
     without k4, the first in scan order: the one whose first shape takes
     the smaller share of k2, which for Weibull-Nakagami is the larger c.
     Raises InfeasibleCumulantsError when no positive parameters reproduce
-    the cumulants.
+    the cumulants, and NumericOverflowError where the fitted scale is not a
+    positive finite double.
     """
     if isinstance(family, type):
         name = getattr(family, "family", None)

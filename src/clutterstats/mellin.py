@@ -15,9 +15,14 @@ Traitement du Signal 19(3), 2002).  A compound is the product of independent
 speckle and texture variates (a Mellin convolution), so its table is not
 written out: it is its declared components' tables (models.decompose)
 joined, and its transform factors and its log-cumulants add by construction.
-A model's form (its table, the gamma factors sorted and the strip's edges) is
-built on its first use and kept on the model, like its decomposition, so no
-closed form derives it again; factor_table returns fresh lists built from it.
+A power term keeps num and den as tuples of factors (a compound's terms of
+equal exponent join them), whose ratio and its log, a double for every valid
+model, models._quotient takes once, as the densities take theirs.  A model's
+form (its table, those scales, the gamma factors sorted and the strip's
+edges) is built on its first use and kept on the model, like its
+decomposition, so no closed form derives it again; factor_table returns
+fresh lists built from it, num and den as the factors' products, which may
+leave the doubles and which no closed form uses.
 
 Two numerical routes double-check the closed forms: direct quadrature of
 the transform integral over the log-density (phi_numeric, which takes only
@@ -54,6 +59,7 @@ from .models import (
     Rayleigh,
     Weibull,
     _log_density,
+    _quotient,
     decompose,
 )
 from .specfun import (
@@ -154,17 +160,18 @@ class LogStats:
 
 # ---------------------------------------------------------------------------
 # The Mellin factor table of each simple family, and of each compound as the
-# join of its components' tables (see factor_table).  The divisor q is stored
+# join of its components' tables (see factor_table).  A power term keeps its
+# numerator and denominator as tuples of factors.  The divisor q is stored
 # rather than 1/q so that the strip endpoints 1 - a*q come out exact.
 
 _SIMPLE_TABLES = {
-    Exponential: lambda m: ([(m.mu, 1.0, 1.0)], [(1.0, 1.0)]),
-    Gamma: lambda m: ([(m.mu, m.L, 1.0)], [(m.L, 1.0)]),
-    Nakagami: lambda m: ([(m.mu, math.sqrt(m.L), 1.0)], [(m.L, 2.0)]),
-    Maxwell: lambda m: ([(2.0 * m.sigma**2, 1.0, 0.5)], [(1.5, 2.0)]),
-    Weibull: lambda m: ([(m.z, 1.0, 1.0)], [(1.0, m.b)]),
-    Rayleigh: lambda m: ([(m.z, 1.0, 1.0)], [(1.0, 2.0)]),
-    InverseGamma: lambda m: ([(m.mu, 1.0, 1.0)], [(m.M, -1.0)]),
+    Exponential: lambda m: ([((m.mu,), (), 1.0)], [(1.0, 1.0)]),
+    Gamma: lambda m: ([((m.mu,), (m.L,), 1.0)], [(m.L, 1.0)]),
+    Nakagami: lambda m: ([((m.mu,), (math.sqrt(m.L),), 1.0)], [(m.L, 2.0)]),
+    Maxwell: lambda m: ([((2.0, m.sigma, m.sigma), (), 0.5)], [(1.5, 2.0)]),
+    Weibull: lambda m: ([((m.z,), (), 1.0)], [(1.0, m.b)]),
+    Rayleigh: lambda m: ([((m.z,), (), 1.0)], [(1.0, 2.0)]),
+    InverseGamma: lambda m: ([((m.mu,), (), 1.0)], [(m.M, -1.0)]),
 }
 
 
@@ -175,25 +182,25 @@ def _table(model: ClutterModel):
     parts = decompose(model)
     speckle_powers, speckle_gammas = _table(parts.speckle)
     texture_powers, texture_gammas = _table(parts.texture)
-    # Scales of equal exponent merge into one whose numerator and denominator
-    # are products of two factors, which do not depend on the order of the
-    # components: gamma-gamma's table, and every result derived from it, is
-    # the same when L and M are swapped.
+    # Terms of equal exponent merge by joining their factors, whose products
+    # and logs do not depend on the components' order: gamma-gamma's table,
+    # and every result derived from it, is the same when L and M are swapped.
     scales = {}
     for num, den, e in speckle_powers + texture_powers:
-        other_num, other_den = scales.get(e, (1.0, 1.0))
-        scales[e] = (other_num * num, other_den * den)
+        other_num, other_den = scales.get(e, ((), ()))
+        scales[e] = (other_num + num, other_den + den)
     powers = [(num, den, e) for e, (num, den) in scales.items()]
     return powers, speckle_gammas + texture_gammas
 
 
 class _MellinForm(NamedTuple):
-    """A model's factor table, its gamma factors in ascending (a, q) order,
-    and its strip as bounds on d = s - 1: Gamma(a + d/q) has its first pole
-    at d = -a*q, below d = 0 for q > 0 and above it for q < 0, and -a*q is
-    exact where 1 - a*q can round onto 1."""
+    """A model's factor table, each power term's scale, its gamma factors in
+    ascending (a, q) order, and its strip as bounds on d = s - 1:
+    Gamma(a + d/q) has its first pole at d = -a*q, below d = 0 for q > 0 and
+    above it for q < 0, and -a*q is exact where 1 - a*q can round onto 1."""
 
-    powers: tuple  # ((num, den, e), ...)
+    powers: tuple  # ((num factors, den factors, e), ...)
+    scales: tuple  # ((ratio, ln ratio, e), ...) of the powers, by _quotient
     gammas: tuple  # ((a, q), ...) in the declared order
     sorted_gammas: tuple
     d_lower: float
@@ -202,14 +209,11 @@ class _MellinForm(NamedTuple):
 
 def _build_form(model: ClutterModel) -> _MellinForm:
     powers, gammas = _table(model)
-    d_lower, d_upper = -math.inf, math.inf
-    for a, q in gammas:
-        if q > 0:
-            d_lower = max(d_lower, -a * q)
-        else:
-            d_upper = min(d_upper, -a * q)
+    scales = tuple((*_quotient(num, den), e) for num, den, e in powers)
+    d_lower = max((-a * q for a, q in gammas if q > 0), default=-math.inf)
+    d_upper = min((-a * q for a, q in gammas if q < 0), default=math.inf)
     return _MellinForm(
-        tuple(powers), tuple(gammas), tuple(sorted(gammas)), d_lower, d_upper
+        tuple(powers), scales, tuple(gammas), tuple(sorted(gammas)), d_lower, d_upper
     )
 
 
@@ -234,12 +238,18 @@ def factor_table(model: ClutterModel):
     Phi(s) = prod (num/den)^(e*(s-1)) * prod Gamma(a + (s-1)/q) / Gamma(a),
     and X = prod (num/den)^e * prod G_a^(1/q) with independent unit-scale
     gamma variates G_a.  A compound's table is its speckle's and its
-    texture's (models.decompose) joined, gamma factors speckle first.  The
-    table is built once per model and kept on it, like the decomposition;
-    changing the lists returned changes nothing else.
+    texture's (models.decompose) joined, gamma factors speckle first.  num
+    and den are the products of a term's factors, which may leave the doubles
+    (Maxwell's 2 sigma^2 at sigma = 1e200); the closed forms and the sampler
+    never use them.  The table is built once per model and kept on it, like
+    the decomposition; changing the lists returned changes nothing else.
     """
     form = _form(model)
-    return list(form.powers), list(form.gammas)
+    powers = [
+        (math.prod(num, start=1.0), math.prod(den, start=1.0), e)
+        for num, den, e in form.powers
+    ]
+    return powers, list(form.gammas)
 
 
 # The closed forms below accumulate gamma factors in ascending (a, q) order,
@@ -274,34 +284,22 @@ def _check_strip(model: ClutterModel, form: _MellinForm, s: float) -> float:
     return s
 
 
-def _normal(x: float) -> bool:
-    return _TINY <= x <= _HUGE
-
-
-def _log_ratio(num: float, den: float) -> float:
-    """ln(num / den) of a power term: the log of the quotient where that is a
-    normal double, so those values do not change, else the difference of the
-    logs; NumericOverflowError where num or den itself has left the doubles
-    (a compound's merged scale, a product that can underflow to 0)."""
-    ratio = num / den if den else math.inf
-    if _normal(ratio):
-        return math.log(ratio)
-    if not (_normal(num) and _normal(den)):
-        raise NumericOverflowError(f"scale {num!r}/{den!r} is not representable")
-    return math.log(num) - math.log(den)
-
-
-def _power_log(num: float, den: float, e: float, d: float) -> float:
-    """ln (num/den)^(e*d): 0 at d = 0 whatever the scale, even one that has
-    left the doubles, so Phi(1) = 1 for every model."""
-    return (e * d) * _log_ratio(num, den) if d else 0.0
+def _power(ratio: float, log_ratio: float, x: float) -> float:
+    """ratio^x of a power term's scale (ratio, ln ratio): pow where the ratio
+    is a normal double, else e^(x ln ratio); inf where that overflows."""
+    try:
+        if _TINY <= ratio <= _HUGE:
+            return math.pow(ratio, x)
+        return math.exp(x * log_ratio)
+    except OverflowError:
+        return math.inf
 
 
 def _psi_closed(form: _MellinForm, d: float) -> float:
-    # Each gamma term vanishes exactly at d = 0, so Psi(1) = 0 exactly.
+    # Each term vanishes exactly at d = 0, so Psi(1) = 0 exactly.
     total = 0.0
-    for num, den, e in form.powers:
-        total += _power_log(num, den, e, d)
+    for _, log_ratio, e in form.scales:
+        total += (e * d) * log_ratio
     for a, q in form.sorted_gammas:
         x = a + d / q
         if not x > 0.0:
@@ -318,8 +316,7 @@ def _psi_closed(form: _MellinForm, d: float) -> float:
 def psi(model: ClutterModel, s: float) -> float:
     """ln Phi(s), computed directly from log-gamma sums for stability.
 
-    Raises StripError where s is outside the analyticity strip, and
-    NumericOverflowError where a scale of the model is beyond the doubles.
+    Raises StripError where s is outside the analyticity strip.
     """
     form = _form(model)
     s = _check_strip(model, form, s)
@@ -332,26 +329,18 @@ def phi(model: ClutterModel, s: float) -> float:
     Evaluated in linear space (powers times gamma ratios), which keeps
     small-argument results exactly rounded (moments of integer order come out
     exact); a scale ratio that is not a normal double enters through its log
-    (_log_ratio), and where a factor overflows this falls back to exp(psi).
+    (_power), and where a factor overflows this falls back to exp(psi).
     Raises StripError where s is outside the analyticity strip, and
-    NumericOverflowError where Phi(s) or a scale of the model is beyond the
-    doubles.
+    NumericOverflowError where Phi(s) is beyond the doubles.
     """
     form = _form(model)
     s = _check_strip(model, form, s)
     d = s - 1.0
-    try:
-        value = 1.0
-        for num, den, e in form.powers:
-            ratio = num / den if den else math.inf
-            if _normal(ratio):
-                value *= math.pow(ratio, e * d)
-            else:
-                value *= math.exp(_power_log(num, den, e, d))
-        for a, q in form.sorted_gammas:
-            value *= float(sc_gamma(a + d / q)) / float(sc_gamma(a))
-    except OverflowError:
-        value = math.inf
+    value = 1.0
+    for ratio, log_ratio, e in form.scales:
+        value *= _power(ratio, log_ratio, e * d)
+    for a, q in form.sorted_gammas:
+        value *= float(sc_gamma(a + d / q)) / float(sc_gamma(a))
     if math.isfinite(value) and value > 0.0:
         return value
     return _exp_phi(model, s, _psi_closed(form, d))
@@ -380,8 +369,7 @@ def classical_moment(model: ClutterModel, n: int) -> float:
     """Classical (first-kind) moment m_n = Phi(n + 1).
 
     Raises MomentDivergesError where n + 1 is at or above the strip's upper
-    edge, and NumericOverflowError where m_n or a scale of the model is
-    beyond the doubles.
+    edge, and NumericOverflowError where m_n is beyond the doubles.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise ParameterError(f"moment order must be an integer, got {n!r}")
@@ -427,16 +415,16 @@ def log_cumulants(model: ClutterModel, max_n: int) -> LogStats:
     """Log-cumulants of orders 1..max_n (max_n up to 6), in closed form.
 
     k_n = sum over gamma factors of q^(-n) psi^(n-1)(a); k_1 also carries the
-    scale, sum over power terms of e ln(base).  A valid model whose k_n is
-    not a finite double raises NumericOverflowError.
+    scale, sum over power terms of e ln(num/den).  A valid model whose k_n
+    is not a finite double raises NumericOverflowError.
     """
     form = _form(model)
     orders = range(2, _check_max_n(max_n) + 1)
     values = []
     try:
         total = 0.0
-        for num, den, e in form.powers:
-            total += e * _log_ratio(num, den)
+        for _, log_ratio, e in form.scales:
+            total += e * log_ratio
         for a, q in form.sorted_gammas:
             total += float(digamma(a)) / q
         values.append(total)
@@ -473,7 +461,7 @@ def log_cumulants_numeric(model: ClutterModel, max_n: int) -> LogStats:
     """
     values = [0.0] * _check_max_n(max_n)
     form = _form(model)
-    values[0] = sum(e * _log_ratio(num, den) for num, den, e in form.powers)
+    values[0] = sum(e * log_ratio for _, log_ratio, e in form.scales)
     try:
         for a, q in form.sorted_gammas:
             r = 0.5 * a * abs(q)

@@ -300,22 +300,24 @@ class Decomposition:
 # Inner quadrature budget for the Weibull-Nakagami density; tighter than the
 # callers' budgets so nested integrals (normalization, transforms) still meet
 # their own tolerances.
-_WN_INNER_TOL = Tolerance(abs_tol=1e-14, rel_tol=1e-10, max_subdivisions=200)
+_WN_INNER_TOL = Tolerance(rel_tol=1e-10, max_subdivisions=200)
 _LOG_EPS = -745.0  # exp() underflows to zero below this
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
+_LOG_HUGE = math.log(_HUGE)  # e^u is finite exactly where u <= _LOG_HUGE
 # ln of the normal doubles, narrowed by 1 at each end
-_LOG_NORMAL = (math.log(_TINY) + 1.0, math.log(_HUGE) - 1.0)
+_LOG_NORMAL = (math.log(_TINY) + 1.0, _LOG_HUGE - 1.0)
 
 
 def _quotient(
     num: Tuple[float, ...], den: Tuple[float, ...]
 ) -> Tuple[float, float]:
-    """(q, ln q) for q = prod(num) / prod(den) with factors > 0.
+    """(q, ln q) for q = prod(num) / prod(den) with factors > 0: the scale
+    ratios of the densities (_quotients on arrays) and of mellin's powers.
 
     Where both products and q are normal doubles, q is computed as written, so
     those values do not change.  Elsewhere (a product or q underflowed or
-    overflowed) ln q is the sum of the factors' logs and q is e^(ln q), 0 or
-    inf beyond the double range.
+    overflowed) ln q is the sum of the factors' logs, always a double, and q
+    is e^(ln q), 0 or inf beyond the double range.
     """
     top, bottom = math.prod(num), math.prod(den)
     if _TINY <= top <= _HUGE and _TINY <= bottom <= _HUGE:
@@ -323,7 +325,7 @@ def _quotient(
         if _TINY <= q <= _HUGE:
             return q, math.log(q)
     log_q = math.fsum(map(math.log, num)) - math.fsum(map(math.log, den))
-    return (math.exp(log_q) if log_q < _LOG_MAX else math.inf), log_q
+    return (math.exp(log_q) if log_q <= _LOG_HUGE else math.inf), log_q
 
 
 def _quotients(u: np.ndarray, num, den, power: int = 1):

@@ -27,8 +27,9 @@ from .estimate import SampleSet, empirical_log_moments
 from .mellin import (
     KIND_LOG_CUMULANTS,
     KIND_LOG_MOMENTS,
+    _form,
+    _power,
     convert,
-    factor_table,
     log_cumulants,
 )
 from .models import (
@@ -97,7 +98,8 @@ def _draws(model, n: int, rng: RngState) -> np.ndarray:
     if isinstance(model, Decomposition):
         speckle = _draws(model.speckle, n, rng.child(1))
         return speckle * _draws(model.texture, n, rng.child(2))
-    powers, ((a, q),) = factor_table(model)
+    form = _form(model)
+    ((ratio, log_ratio, e),), ((a, q),) = form.scales, form.gammas
     gen = rng.generator()
     if a == 1.0:
         draws = -np.log(gen.random(n) + _U_SHIFT)
@@ -105,16 +107,16 @@ def _draws(model, n: int, rng: RngState) -> np.ndarray:
         draws = gen.standard_gamma(a, n)
     if q != 1.0:
         draws = draws ** (1.0 / q)
-    return draws * math.prod(math.pow(num / den, e) for num, den, e in powers)
+    return draws * _power(ratio, log_ratio, e)
 
 
 def sample(model: ClutterModel, n: int, rng: RngState) -> SampleSet:
     """Draw n independent samples from the model.
 
-    A simple family's draw is X = prod (num/den)^e * G_a^(1/q) over its
-    factor table, on rng itself.  A compound family's draw is its speckle's
-    draw times its texture's (models.decompose), exactly as sample_product
-    makes it.
+    A simple family's draw is X = (num/den)^e * G_a^(1/q) over its factor
+    table, on rng itself, its scale taken from the factors as phi takes it.
+    A compound family's draw is its speckle's draw times its texture's
+    (models.decompose), exactly as sample_product makes it.
 
     Raises NumericOverflowError when a draw is not representable as a
     positive finite double.  Small gamma shapes cause it: a shape-a variate

@@ -43,21 +43,15 @@ MAX_POLYGAMMA_ORDER = 6
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Quadrature error budget.
+    """Quadrature error budget: the integral is accepted when its estimated
+    error is at most rel_tol * |result|; otherwise the routine raises."""
 
-    The integral is accepted when the estimated error is at most
-    max(abs_tol, rel_tol * |result|); otherwise the routine raises.  The
-    whole-line routines integrate exp(g - g(peak)): abs_tol is in units of
-    the peak value.
-    """
-
-    abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 200
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ParameterError("tolerances must be > 0")
+        if not self.rel_tol > 0:
+            raise ParameterError("rel_tol must be > 0")
         if self.max_subdivisions < 1:
             raise ParameterError("max_subdivisions must be >= 1")
 
@@ -192,7 +186,7 @@ def _log_kve(nu: float, log_w):
     if np.count_nonzero(failed):
         # the integrand's terms, about sqrt(nu) in size near its peak, round to
         # about eps sqrt(nu), and the integral is no more accurate than that
-        tol = Tolerance(abs_tol=1e-300, rel_tol=max(1e-13, 1e-14 * math.sqrt(nu)))
+        tol = Tolerance(rel_tol=max(1e-13, 1e-14 * math.sqrt(nu)))
         lw = log_w[failed]
         out[failed] = _log_peak_integral(
             nu, 1.0, lw - 2 * _LN2, 1.0, -lw, tol, (nu - 1.0) * _LN2, -math.inf
@@ -444,11 +438,11 @@ def _panel_quadrature(f, lo, hi, row, span, tol: Tolerance) -> np.ndarray:
     the Gauss-Kronrod panels [lo, hi] cover them, panel k in row row[k],
     whose range is span[row[k]] wide, and f(row, nodes) evaluates each
     panel's row's integrand at its row of nodes.  Each round bisects, in
-    every row whose errors exceed its budget max(abs_tol, rel_tol * its
-    total), the panels whose error exceeds their share of that budget (in
-    proportion to width; the row's worst panel always).  A row's total is
-    returned once its errors fit its budget; nan once its panels would
-    number more than max_subdivisions, or its errors are not finite.
+    every row whose errors exceed its budget rel_tol * its total, the panels
+    whose error exceeds their share of that budget (in proportion to width;
+    the row's worst panel always).  A row's total is returned once its errors
+    fit its budget; nan once its panels would number more than
+    max_subdivisions, or its errors are not finite.
     """
 
     def rule(lo, hi, row):
@@ -466,7 +460,7 @@ def _panel_quadrature(f, lo, hi, row, span, tol: Tolerance) -> np.ndarray:
     while True:
         total = np.bincount(row, weights=values, minlength=rows)
         error = np.bincount(row, weights=errors, minlength=rows)
-        budget = np.maximum(tol.abs_tol, tol.rel_tol * total)
+        budget = tol.rel_tol * total
         fits = open_rows & (error <= budget)
         result[fits] = total[fits]
         open_rows &= ~fits & np.isfinite(error)
@@ -592,7 +586,8 @@ def _log_concave_integral(g: Callable[[np.ndarray], np.ndarray], tol: Tolerance)
         values = at(u)
         bad = ~(values < math.inf)
         if np.count_nonzero(bad):
-            raise NumericOverflowError(f"integrand not representable at u={u[bad][0]!r}")
+            first = u[bad][0].item()
+            raise NumericOverflowError(f"integrand not representable at u={first!r}")
         return np.exp(values - gb)
 
     (integral,) = _panel_quadrature(

@@ -62,7 +62,7 @@ _S_CANDIDATES = (0.5, 1.5, 2.0, 2.5, 3.0)
 # points x at which compound densities are compared with the convolution
 _CONVOLUTION_POINTS = (0.3, 1.0, 3.0)
 
-_QUAD_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=400)
+_QUAD_TOL = Tolerance(rel_tol=1e-9, max_subdivisions=400)
 
 
 @dataclass(frozen=True)

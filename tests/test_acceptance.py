@@ -17,7 +17,7 @@ from clutterstats.specfun import Tolerance, polygamma
 
 from conftest import ALL_MODELS, PARAM_GRID, strip_interior_points
 
-QUAD_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=400)
+QUAD_TOL = Tolerance(rel_tol=1e-9, max_subdivisions=400)
 
 
 def report(number, ok, text):

@@ -203,6 +203,31 @@ class TestExitCodes:
         code, _, _ = invoke(capsys, "fit", "--family", "gamma", "--input", "/no/such")
         assert code == 1
 
+    def test_paper_convention_beyond_fourth_order_is_one(self, capsys):
+        code, out, err = invoke(
+            capsys, "cumulants", "--model", "gamma", "--L", "2", "--mu", "1",
+            "--n", "5", "--convention", "paper-eq6",
+        )
+        assert (code, out) == (1, "")
+        assert "paper-eq6" in err
+
+
+class TestNegativeValues:
+    # argparse reads only -N and -N.N as negative numbers; this CLI reads
+    # exponent forms, -inf and -nan as values too
+    GAMMA = ("phi", "--model", "gamma", "--L", "2", "--mu", "3")
+
+    @pytest.mark.parametrize("argv", [("--s", "-5e-1"), ("--s=-5e-1",), ("--s", "-0.5")])
+    def test_exponent_form(self, capsys, argv):
+        code, out, _ = invoke(capsys, *self.GAMMA, *argv)
+        assert code == 0
+        assert out == "0.9648016727443568\n"
+
+    def test_other_token_is_still_usage_error(self, capsys):
+        code, out, err = invoke(capsys, *self.GAMMA, "--s", "-x")
+        assert (code, out) == (1, "")
+        assert "--s" in err
+
 
 class TestSimulateCommand:
     def test_writes_csv(self, capsys, tmp_path):
@@ -276,6 +301,19 @@ class TestFitCommand:
         assert record["mu"] == pytest.approx(1.0, rel=0.02)
         assert {"iterations", "residual"} <= set(record)
 
+    def test_csv_format(self, capsys, tmp_path):
+        path = tmp_path / "gamma.csv"
+        cs.save_samples_csv(cs.sample(cs.Gamma(L=4.0, mu=1.0), 2000, cs.RngState(5)), path)
+        argv = ("fit", "--family", "gamma", "--input", str(path))
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        record = json.loads(out)
+        code, out, _ = invoke(capsys, *argv, "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "key,value"
+        assert lines[1:] == [f"{key},{value}" for key, value in record.items()]
+
 
 class TestFigure1Command:
     def test_csv_table(self, capsys, tmp_path):
@@ -315,10 +353,11 @@ class TestFigure1Command:
         rows = out.splitlines()[1:]
         assert tuple(float(row.split(",")[0]) for row in rows) == cs.default_m_grid()
 
-    def test_bad_grid_is_usage_error(self, capsys):
-        code, _, err = invoke(capsys, "figure1", "--m-grid", "oops", "--n", "10")
-        assert code == 1
-        assert "m-grid" in err
+    @pytest.mark.parametrize("grid", ["oops", "1:x:3", "4:1:3", "1:4:0"])
+    def test_bad_grid_is_usage_error(self, capsys, grid):
+        code, out, err = invoke(capsys, "figure1", "--m-grid", grid, "--n", "10")
+        assert (code, out) == (1, "")
+        assert repr(grid) in err
 
 
 class TestVerifyCommand:
@@ -361,11 +400,16 @@ class TestVerifyCommand:
         assert code == 2
         assert "FAIL" in out
 
-    @pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan"])
-    def test_non_finite_tolerance_is_domain_error(self, capsys, tolerance):
+    @pytest.mark.parametrize(
+        "argv",
+        [(f"--tolerance={t}",) for t in ("inf", "-inf", "nan")]
+        + [("--tolerance", t) for t in ("inf", "-inf", "-nan")],
+        ids=" ".join,
+    )
+    def test_non_finite_tolerance_is_domain_error(self, capsys, argv):
         # an infinite tolerance would pass every check with err=0, and the
         # JSON would carry Infinity or NaN, which are not JSON
-        code, out, err = invoke(capsys, "verify", f"--tolerance={tolerance}")
+        code, out, err = invoke(capsys, "verify", *argv)
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1
@@ -375,3 +419,15 @@ class TestVerifyCommand:
     def test_suite_rejects_non_finite_tolerance(self, tolerance):
         with pytest.raises(cs.ParameterError, match="tolerance"):
             verify.run_suite(tolerance)
+
+    def test_row_that_raises_fails_its_check(self):
+        # rows are computed lazily, so a typed error in one fails that check
+        # and the suite goes on
+        def rows():
+            yield "first", 0.5, 1.0
+            raise cs.NonConvergenceError("quadrature gave up")
+
+        check = verify._worst("name", 1e-6, rows())
+        assert (check.name, check.tolerance, check.passed) == ("name", 1e-6, False)
+        assert math.isnan(check.error)
+        assert check.detail == "quadrature gave up"

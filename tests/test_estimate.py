@@ -416,6 +416,30 @@ class TestFitMolc:
         with pytest.raises(cs.ParameterError):
             cs.fit_molc("gamma_gamma", stats)
 
+    @pytest.mark.parametrize(
+        "family, field, k",
+        [
+            ("gamma", "mu", (800.0, 1.0)),
+            ("exponential", "mu", (800.0,)),
+            ("exponential", "mu", (-800.0,)),
+            # K's scale power is -1/2: k1 = 800 puts b = e^-1600 below the
+            # doubles, and k1 = -800 puts it above
+            ("k_amplitude", "b", (800.0, 1.0)),
+            ("k_amplitude", "b", (-800.0, 1.0)),
+        ],
+    )
+    def test_scale_beyond_the_doubles_is_typed(self, family, field, k):
+        stats = cs.LogStats("log_cumulants", "standard", k)
+        with pytest.raises(cs.NumericOverflowError, match=f"^fitted {field} of '{family}'"):
+            cs.fit_molc(family, stats)
+
+    def test_scale_at_the_doubles_end(self):
+        # ln mu = 709.7 is below ln(max double) = 709.78
+        k1 = 709.7 + polygamma(0, 1.0)
+        report = cs.fit_molc("exponential", cs.LogStats("log_cumulants", "standard", (k1,)))
+        assert report.model.mu == pytest.approx(math.exp(709.7), rel=1e-12)
+        assert report.converged
+
 
 class TestSampleCsv:
     def test_round_trip(self, tmp_path):

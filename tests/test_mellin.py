@@ -12,7 +12,7 @@ from clutterstats.specfun import Tolerance, polygamma
 
 from conftest import ALL_MODELS, cumulant_scale, strip_interior_points
 
-QUAD_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=400)
+QUAD_TOL = Tolerance(rel_tol=1e-9, max_subdivisions=400)
 
 COMPOUNDS = [
     cs.GammaGamma(L=2.0, M=3.0, mu=1.5),
@@ -93,21 +93,30 @@ class TestStripEdgeOnOne:
 
     def test_beyond_the_doubles_is_typed(self):
         # Weibull's Phi(s) = Gamma(1 + (s-1)/b) overflows for any s > 1, and
-        # its ln is a double; gamma-gamma's merged scale is not a double
-        weibull, gamma_gamma = EDGE_ON_ONE[1:]
+        # its ln is a double
+        weibull = EDGE_ON_ONE[1]
         with mpmath.workdps(30):
             b = mpmath.mpf(weibull.b)
             expected = float(mpmath.loggamma(1 + mpmath.mpf(0.5) / b))
         assert cs.psi(weibull, 1.5) == pytest.approx(expected, rel=1e-15)
-        for function, model, arg in (
-            (cs.phi, weibull, 1.5),
-            (cs.classical_moment, weibull, 1),
-            (cs.phi, gamma_gamma, 1.5),
-            (cs.psi, gamma_gamma, 1.5),
-            (cs.classical_moment, gamma_gamma, 1),
-        ):
+        for function, arg in ((cs.phi, 1.5), (cs.classical_moment, 1)):
             with pytest.raises(cs.NumericOverflowError):
-                function(model, arg)
+                function(weibull, arg)
+
+    def test_gamma_gamma_values(self):
+        # the merged scale mu / (L M) = 1e400 is beyond the doubles and its
+        # log is not: Phi(1.5) = pi 1e-200, and m1 = mu
+        model = EDGE_ON_ONE[2]
+        with mpmath.workdps(50):
+            L, M, mu = (mpmath.mpf(v) for v in (model.L, model.M, model.mu))
+            expected = mpmath.sqrt(mu / (L * M)) * mpmath.gamma(L + 0.5)
+            expected *= mpmath.gamma(M + 0.5) / (mpmath.gamma(L) * mpmath.gamma(M))
+            log_expected = float(mpmath.log(expected))
+            expected = float(expected)
+        assert expected == pytest.approx(math.pi * 1e-200, rel=1e-15)
+        assert cs.phi(model, 1.5) == pytest.approx(expected, rel=1e-13)
+        assert cs.psi(model, 1.5) == pytest.approx(log_expected, rel=1e-15)
+        assert cs.classical_moment(model, 1) == pytest.approx(1.0, rel=1e-15)
 
 
 class TestPhi:
@@ -602,12 +611,44 @@ class TestBeyondTheDoubles:
         with pytest.raises(cs.NumericOverflowError):
             cs.phi(model, 3.0)
 
-    def test_merged_scale_below_the_doubles_is_typed(self):
-        # gamma-gamma's merged scale L M = 1e-400 underflows to 0
+    def test_merged_scale_below_the_doubles(self):
+        # gamma-gamma's merged scale has L M = 1e-400, which underflows to 0;
+        # its log is taken from the factors, so k1 is a double
         model = cs.GammaGamma(L=1e-200, M=1e-200, mu=1.0)
-        for function in (cs.log_cumulants, cs.log_cumulants_numeric):
-            with pytest.raises(cs.NumericOverflowError):
-                function(model, 1)
+        with mpmath.workdps(50):
+            L, M, mu = (mpmath.mpf(v) for v in (model.L, model.M, model.mu))
+            k1 = float(mpmath.log(mu / (L * M)) + mpmath.digamma(L) + mpmath.digamma(M))
+        assert cs.log_cumulants(model, 1).values[0] == pytest.approx(k1, rel=1e-15)
+        # the oracle's bound, 1e-12 of the size of the terms (here |k1|)
+        numeric = cs.log_cumulants_numeric(model, 1).values[0]
+        assert numeric == pytest.approx(k1, rel=1e-12)
+
+    def test_merged_scale_of_subnormal_factors(self):
+        # L M = 7.5e-318 is subnormal, so mu / (L M) in doubles keeps 4 digits;
+        # from the factors, m1 = mu
+        model = cs.GammaGamma(
+            L=4.9074325766623105e-228, M=1.5339363622099132e-90, mu=1.07860057787643e-100
+        )
+        assert cs.classical_moment(model, 1) == pytest.approx(model.mu, rel=1e-14)
+
+    def test_maxwell_scale_above_the_doubles(self):
+        # 2 sigma^2 = 2e400 overflows, and Phi(s) = (2 sigma^2)^((s-1)/2)
+        # Gamma(1.5 + (s-1)/2) / Gamma(1.5) is a double up to s = 3
+        model = cs.Maxwell(sigma=1e200)
+        with mpmath.workdps(50):
+            scale = 2 * mpmath.mpf(model.sigma) ** 2
+            expected = mpmath.sqrt(mpmath.sqrt(scale)) * mpmath.gamma(1.75)
+            expected /= mpmath.gamma(1.5)
+            log_expected = float(mpmath.log(expected))
+            expected = float(expected)
+            k1 = float(mpmath.log(scale) / 2 + mpmath.digamma(1.5) / 2)
+            m1 = float(mpmath.sqrt(scale) * mpmath.gamma(2) / mpmath.gamma(1.5))
+        assert cs.phi(model, 1.5) == pytest.approx(expected, rel=1e-13)
+        assert cs.psi(model, 1.5) == pytest.approx(log_expected, rel=1e-15)
+        assert cs.log_cumulants(model, 1).values[0] == pytest.approx(k1, rel=1e-15)
+        assert cs.classical_moment(model, 1) == pytest.approx(m1, rel=1e-13)
+        with pytest.raises(cs.NumericOverflowError):  # m2 = 3e400
+            cs.classical_moment(model, 2)
 
     def test_closed_form_of_a_huge_shape(self):
         # its k_2 = psi'(1e300) is a double, and k_3..k_6 round to 0

@@ -13,13 +13,13 @@ from scipy.special import kve
 
 import clutterstats as cs
 from clutterstats import specfun
-from clutterstats.models import _log_density
+from clutterstats.models import _log_density, _quotient
 from clutterstats.specfun import Tolerance, _gauss_kronrod, _log_kve
 from clutterstats.verify import _convolution
 
 from conftest import ALL_MODELS
 
-NORM_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=400)
+NORM_TOL = Tolerance(rel_tol=1e-9, max_subdivisions=400)
 
 
 class TestValidate:
@@ -226,6 +226,35 @@ class TestExtremeScales:
         except cs.ClutterStatsError:
             return
         assert math.isfinite(value) and value >= 0.0
+
+
+# factors log-uniform over 600 decades
+WIDE_FACTORS = st.lists(
+    st.floats(math.log(1e-300), math.log(1e300)).map(math.exp), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=400)
+@given(num=WIDE_FACTORS, den=WIDE_FACTORS)
+@example(num=[1e200, 1e200], den=[1e92])  # a product overflows, q = 1e308 does not
+def test_quotient_matches_mpmath(num, den):
+    # ln q is good to a few eps of the size of the factors' logs, whether q
+    # is taken in linear space or from the logs; q is 0 or inf only where it
+    # is outside the doubles, and to the same accuracy elsewhere
+    q, log_q = _quotient(tuple(num), tuple(den))
+    with mpmath.workdps(50):
+        exact = mpmath.fprod(map(mpmath.mpf, num)) / mpmath.fprod(map(mpmath.mpf, den))
+        log_exact = float(mpmath.log(exact))
+        exact = float(exact)  # 0 or inf where it is outside the doubles
+    size = 1.0 + sum(abs(math.log(f)) for f in num + den)
+    bound = 4.0 * sys.float_info.epsilon * size
+    assert abs(log_q - log_exact) <= bound
+    if q == 0.0:
+        assert log_exact < math.log(5e-324) + bound
+    elif q == math.inf:
+        assert log_exact > math.log(sys.float_info.max) - bound
+    elif q >= sys.float_info.min:
+        assert abs(q - exact) <= bound * exact
 
 
 # parameters log-uniform over 16 decades

@@ -83,6 +83,13 @@ class TestOneFactorDraws:
         drawn = cs.sample(cs.Weibull(b=0.7, z=1.5), 1000, cs.RngState(7, 3))
         assert np.array_equal(drawn.values, expected)
 
+    def test_maxwell_scale_above_the_doubles(self):
+        # 2 sigma^2 = 2e400 overflows; its square root is taken from its log
+        gen = cs.RngState(7, 3).generator()
+        expected = math.sqrt(2.0) * 1e200 * np.sqrt(gen.standard_gamma(1.5, 1000))
+        drawn = cs.sample(cs.Maxwell(sigma=1e200), 1000, cs.RngState(7, 3))
+        np.testing.assert_allclose(drawn.values, expected, rtol=1e-14)
+
 
 class TestSamplerMarginals:
     @pytest.mark.parametrize("model", SIMPLE_MODELS, ids=lambda m: repr(m))
@@ -125,6 +132,11 @@ class TestUnrepresentableDraws:
     def test_tiny_fisher_texture_overflows(self):
         with pytest.raises(cs.NumericOverflowError):
             cs.sample(cs.Fisher(L=0.01, M=0.01, mu=1.0), 200_000, cs.RngState(1))
+
+    def test_scale_beyond_the_doubles_is_typed(self):
+        # the scale sqrt(2) sigma overflows
+        with pytest.raises(cs.NumericOverflowError):
+            cs.sample(cs.Maxwell(sigma=1.5e308), 10, cs.RngState(1))
 
     def test_small_gamma_shape_succeeds(self):
         samples = cs.sample(cs.Gamma(L=0.05, mu=1.0), 200_000, cs.RngState(1))

@@ -20,7 +20,7 @@ from clutterstats.specfun import (
 )
 from clutterstats.verify import VERIFY_MODELS
 
-TIGHT = Tolerance(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=400)
+TIGHT = Tolerance(rel_tol=1e-12, max_subdivisions=400)
 
 
 class TestLogGamma:
@@ -145,12 +145,47 @@ class TestLogConcaveIntegral:
         # falls, so the walk reaches the end of the doubles and raises
         with pytest.raises(cs.NonConvergenceError):
             _log_concave_integral(
-                lambda u: u - np.log1p(np.exp(u)), Tolerance(1e-10, 1e-10, 50)
+                lambda u: u - np.log1p(np.exp(u)), Tolerance(1e-10, 50)
             )
         # Gamma(0.05) is finite, but its g = 0.05 u - e^u falls by 60 only
         # beyond u = -1200, where x = e^u has left the doubles
         with pytest.raises(cs.NonConvergenceError):
             _log_concave_integral(lambda u: 0.05 * u - np.exp(u), TIGHT)
+
+    def test_zero_at_every_probe(self):
+        with pytest.raises(cs.NonConvergenceError, match="every probe"):
+            _log_concave_integral(lambda u: np.full(u.shape, -math.inf), TIGHT)
+
+    def test_peak_beyond_the_doubles(self):
+        # g = u rises to the end of the doubles in e^u, where the climb
+        # halves its steps down to adjacent doubles
+        with pytest.raises(cs.NonConvergenceError, match="peak not found"):
+            _log_concave_integral(lambda u: u, TIGHT)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # nan at the first probe, u = 0
+            lambda u: np.full(u.shape, math.nan),
+            # finite at the probes and the bracket, nan at the first climb
+            # point, u = 3, on the way to the peak at 5
+            lambda u: np.where(u < 2.5, -((u - 5.0) ** 2), math.nan),
+            # finite at the probes, bracket and walks, which are integers
+            # here, and nan at the panels' Gauss-Kronrod nodes
+            lambda u: np.where(u == np.round(u), -u * u, math.nan),
+        ],
+        ids=["probe", "climb", "panel node"],
+    )
+    def test_not_representable_is_typed(self, g):
+        with pytest.raises(cs.NumericOverflowError, match="not representable at u=-?[0-9]"):
+            _log_concave_integral(g, TIGHT)
+
+    def test_panels_over_budget(self):
+        # a budget no Gauss-Kronrod error estimate of a Gaussian meets
+        with pytest.raises(cs.NonConvergenceError, match="after 20 panels"):
+            _log_concave_integral(
+                lambda u: -u * u, Tolerance(rel_tol=1e-300, max_subdivisions=20)
+            )
 
 
 def test_import_leaves_out_scipy_integrate():
@@ -174,6 +209,6 @@ def test_import_leaves_out_scipy_integrate():
 class TestTolerance:
     def test_validation(self):
         with pytest.raises(cs.ParameterError):
-            Tolerance(abs_tol=0.0)
+            Tolerance(rel_tol=0.0)
         with pytest.raises(cs.ParameterError):
             Tolerance(max_subdivisions=0)
