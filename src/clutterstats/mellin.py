@@ -49,6 +49,7 @@ from .errors import (
 )
 from .models import (
     _HUGE,
+    _LOG_HUGE,
     _TINY,
     ClutterModel,
     Exponential,
@@ -347,7 +348,7 @@ def phi(model: ClutterModel, s: float) -> float:
 
 
 def _exp_phi(model: ClutterModel, s: float, log_value: float) -> float:
-    if log_value > 709.0:
+    if log_value > _LOG_HUGE:
         raise NumericOverflowError(
             f"Phi overflow for {type(model).__name__} at s={s:g}"
         )

@@ -375,7 +375,7 @@ def pdf(model: ClutterModel, x: float) -> float:
     """Probability density of the model at x > 0, e^log_pdf(model, x): 0.0
     below e^-745, NumericOverflowError where log_pdf raises or it overflows."""
     log_f = log_pdf(model, x)
-    if log_f > _LOG_MAX:
+    if log_f > _LOG_HUGE:
         raise NumericOverflowError(f"pdf overflow for {model!r} at x={x!r}")
     return 0.0 if log_f < _LOG_EPS else math.exp(log_f)
 

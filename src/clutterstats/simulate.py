@@ -130,8 +130,8 @@ def sample(model: ClutterModel, n: int, rng: RngState) -> SampleSet:
         raise ParameterError(f"n must be >= 1, got {n}")
     if not isinstance(rng, RngState):
         raise ParameterError("rng must be an RngState")
-    # a draw that leaves the double range is reported below, not warned about
-    with np.errstate(divide="ignore", over="ignore"):
+    # draws beyond the double range, and their nan products, are reported below
+    with np.errstate(all="ignore"):
         values = _draws(model, n, rng)
     try:
         return SampleSet(values)
@@ -190,10 +190,12 @@ class Fig1Config:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("M_grid must be strictly increasing")
         object.__setattr__(self, "M_grid", grid)
+        for name in ("samples_per_point", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.samples_per_point < 1:
             raise ParameterError("samples_per_point must be >= 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ParameterError("seed must be an integer")
         object.__setattr__(self, "seed", self.seed & _MASK64)
 
 

@@ -5,16 +5,15 @@ The special functions are thin validated wrappers over scipy.special.
 ln K_nu is taken on arrays of ln w: where kve fails, from closed forms for
 arguments below 1e-20 and for sqrt(nu^2 + w^2) >= 2^30, and otherwise from
 K_nu's integral on the whole line, which has the form of the
-Weibull-Nakagami texture integral,
-Int exp(A u - e^(q (b - u)) - e^(p (u - a))) du; one routine evaluates
-both, on arrays: each element its own integral, all of their panels summed
-together (one call for all the Bessel elements that need it).  The
-oracles' integrals, Phi(s) and the Mellin convolution, have g a sum of
-log-densities, written on arrays in u = ln x (models), and a linear term,
-and call g on arrays only: every family is a product of independent gamma
-powers, so ln X has a log-concave density (Prekopa 1973) and g one peak,
-found with no scan.  A density that broke that would give a wrong
-integral, so a failed check, not a pass.
+Weibull-Nakagami texture integral, Int exp(A u - e^(q (b - u)) - e^(p (u - a))) du;
+one routine evaluates both on arrays, finding each element's peak
+analytically.  The oracles' integrals, Phi(s) and the Mellin convolution,
+have g a sum of log-densities on arrays in u = ln x (models) and a linear
+term; their routine finds the peak by probing and climbing.  Both then take
+one walk-and-panel step, _walk_integral.  Every family is a product of
+independent gamma powers, so ln X has a log-concave density (Prekopa 1973)
+and g one peak, found with no scan.  A density that broke that would give a
+wrong integral, so a failed check, not a pass.
 """
 
 from __future__ import annotations
@@ -110,7 +109,6 @@ def _polygamma_kernel(order: int, x):
 
 _LOG_MAX = 709.0  # exp() overflows above about this
 _LN2 = math.log(2.0)
-_LOG_TINY = math.log(sys.float_info.min)  # below this e^u is not a normal double
 # below this ln w (w = 1e-20), (w/2)^2 and, for nu >= 1/2, (w/2)^(2 nu) are
 # lost beside 1
 _LOG_SMALL_W = -46.0
@@ -197,6 +195,7 @@ def _log_kve(nu: float, log_w):
 _PEAK_DROP = 60.0  # the integral's range ends where its exponent falls this far
 _FAR_Y = 700.0  # below this, e^y in _peak_drop's phi(y) cannot overflow
 _PEAK_MAX_STEPS = 100  # Newton and bisection steps to the peak
+_DOUBLINGS = 2.0 ** np.arange(64)  # a walk's steps; from 2e-16 they span u's range
 
 
 def _peak_drop(d, e1, t1, q, e2, t2, p):
@@ -279,26 +278,20 @@ def _log_peak_integral(
     """log_scale + ln Int exp(g(u)) du over the whole line, elementwise over
     the arrays (or floats) b, a and log_scale, to tol relative to the
     integral of exp(g - g(peak)), for g(u) = A u - e^(q (b - u)) -
-    e^(p (u - a)) with q, p > 0.  Without quadrature, -inf where
-    log_scale + g(peak) plus the log of the widest range the walk below
-    could take, or of the range it took, is below floor (the integrand is at
-    most e^g(peak) on the range), or where a term overflows at the peak; nan
-    where an element fails.  g'' < 0, so g has one peak, where
-    g' = A + B - C = 0 with B = q e^(q (b - u)) falling and
-    C = p e^(p (u - a)) rising.
+    e^(p (u - a)) with q, p > 0; -inf where _walk_integral finds it below
+    floor (with no peak search where a bound on g(peak) shows that), or
+    where a term overflows at the peak; nan where an element fails.  g'' < 0,
+    so g has one peak, where g' = A + B - C = 0 with B = q e^(q (b - u))
+    falling and C = p e^(p (u - a)) rising.
 
     For A > 0, g' >= 0 at lo, the larger of the points where B = C and
     C = A, and as B falls, g' <= 0 where C = A + B(lo), at most ln(2)/p
     beyond lo (where C has doubled); for A <= 0, g' <= 0 at hi, the smaller
     of the points where B = C and B = -A, and as C rises, g' >= 0 where
     B = C(hi) - A, at most ln(2)/q before hi.  _newton_peak finds the peak
-    in that bracket (nan where it does not).  A walk in doubling steps of
-    the peak width goes out each way until g has fallen 60 below the peak
-    (by concavity the mass beyond is below e^-60 of the whole), two
-    Gauss-Kronrod panels a step, at most max_subdivisions/4 steps a side,
-    else nan; a term e^(t + y) is not taken past the point where it would
-    overflow, and if g has not fallen there, nan.  Every element's panels
-    are summed in one _panel_quadrature.
+    in that bracket (nan where it does not).  _walk_integral walks from it
+    in doubling steps of the peak width, with _peak_drop's g(peak + d) -
+    g(peak), capped where a term e^(t + y) would overflow.
     """
     b = np.array(b, dtype=float).ravel()
     a, log_scale = (np.full(b.shape, np.ravel(x)) for x in (a, log_scale))
@@ -334,50 +327,77 @@ def _log_peak_integral(
     top = log_scale + (A * u - e1 - e2)
     width = 1.0 / np.sqrt(q * q * e1 + p * p * e2)
     out = np.where(out_of_steps, math.nan, -math.inf)
-    # the walk stops where a term e^(t + y) would overflow
-    caps = ((_LOG_MAX - t2) / p, (_LOG_MAX - t1) / q)
-    walk = ~out_of_steps & (np.maximum(t1, t2) <= _LOG_MAX)
-    walk &= ~(top + np.log(caps[0] + caps[1]) < floor)
-    (rows,) = np.nonzero(walk)
-    # doublings up to the last that any element takes before its cap
-    most = np.log2(np.max(np.maximum(*caps)[rows] / width[rows], initial=1.0))
-    steps = 2.0 ** np.arange(int(min(tol.max_subdivisions // 4, most + 2.0)))
-    # both sides at once, as (side, row, step) arrays: right, then left
-    sign = np.array([1.0, -1.0])[:, None, None]
-    cap = np.stack(caps)[:, rows, None]
-    d = np.minimum(width[rows, None] * steps, cap)
-    params = [x[rows, None] for x in (e1, t1, e2, t2)]
-    fell = _peak_drop(sign * d, params[0], params[1], q, params[2], params[3], p)
-    fell = fell <= -_PEAK_DROP
-    last = np.argmax(fell, axis=2)  # the first step that has fallen 60
-    # and no step before it reached the cap
-    capped = (d == cap) & (np.arange(steps.size) < last[..., None])
-    out[rows[(~fell.any(axis=2) | capped.any(axis=2)).any(axis=0)]] = math.nan
-    k = np.arange(rows.size)
-    reach = d[0, k, last[0]] + d[1, k, last[1]]  # the last steps' ends
-    keep = ~np.isnan(out[rows]) & ~(top[rows] + np.log(reach) < floor)
-    rows, reach, last = rows[keep], reach[keep], last[:, keep]
-    d = d[:, keep, : last.max(initial=0) + 1]  # out to the furthest last step
-    # each step's midpoint and end, from 0 out to the last step's end
-    points = np.zeros(d.shape[:2] + (2 * d.shape[2] + 1,))
-    near = np.concatenate((points[..., :1], d[..., :-1]), axis=2)
-    points[..., 1::2], points[..., 2::2] = 0.5 * (near + d), d
-    used = np.arange(2 * d.shape[2]) < 2 * last[..., None] + 2
-    inner, outer = points[..., :-1][used], points[..., 1:][used]
-    side, row, _ = np.nonzero(used)
-    right = side == 0
-    lo, hi = np.where(right, inner, -outer), np.where(right, outer, -inner)
-    params = [x[rows, None] for x in (e1, t1, e2, t2)]
-
-    def integrand(row, d):
-        e1, t1, e2, t2 = (x[row] for x in params)
-        drop = _peak_drop(d, e1, t1, q, e2, t2, p)
-        return np.exp(drop, out=drop)
-
-    integral = _panel_quadrature(integrand, lo, hi, row, reach, tol)
-    out[rows] = top[rows] + np.log(integral)
+    (rows,) = np.nonzero(~out_of_steps & (np.maximum(t1, t2) <= _LOG_MAX))
+    e1, t1, e2, t2, width = (x[rows] for x in (e1, t1, e2, t2, width))
+    cap = np.stack(((_LOG_MAX - t2) / p, (_LOG_MAX - t1) / q))
+    out[rows], _ = _walk_integral(
+        lambda row, d: _peak_drop(d, e1[row], t1[row], q, e2[row], t2[row], p),
+        u[rows], top[rows], np.stack((width, width)), cap, floor, tol,
+    )
     result[live] = out
     return result
+
+
+def _walk_integral(drop, centre, top, first, cap, floor: float, tol: Tolerance):
+    """top + ln Int exp(drop(row, d)) dd over the whole line for each row, and
+    whether its walk fell; drop(row, d) = g(centre + d) - g(centre) for the
+    row's concave g, centre at or near its peak (row, an index array,
+    broadcasts against d).  The walk doubles its steps from first[0]
+    rightwards and first[1] leftwards ((2, rows) arrays, as is cap, each
+    step's bound) until drop has fallen 60: by concavity the mass beyond is
+    below e^-60 of the whole.  nan, not fallen, where a side does not fall
+    before its cap or in 64 steps; else two Gauss-Kronrod panels a step, all
+    rows' in one _panel_quadrature.  nan or +inf at a panel node, or at a
+    walk point up to the fall (anywhere on a side that does not fall), raises
+    NumericOverflowError.  -inf without quadrature where top plus the log of
+    the caps' sum, or of the walk's reach, is below floor (exp(drop) <= 1 at
+    a peak centre).
+    """
+    out, fell = np.full(top.size, -math.inf), np.ones(top.size, dtype=bool)
+    (rows,) = (~(top + np.log(cap[0] + cap[1]) < floor)).nonzero()
+    cap, first = cap[:, rows, None], first[:, rows, None]
+    most = math.log2((cap / first).max(initial=1.0))  # the doublings to the furthest cap
+    steps = _DOUBLINGS[: int(min(_DOUBLINGS.size, most + 2.0))]
+    # both sides at once, as (side, row, step) arrays: right, then left
+    d = np.minimum(first * steps, cap)
+    ahead = np.array([1.0, -1.0])[:, None, None] * d
+    values = drop(rows[:, None], ahead)
+    below = values <= -_PEAK_DROP
+    fall, last = below.any(axis=2), below.argmax(axis=2)  # the first step fallen 60
+    before = np.arange(steps.size) < np.where(fall, last, steps.size)[..., None]
+    if not values.max(initial=-math.inf) < math.inf:  # checked up to the fall
+        _raise_unless_finite(np.where(before, values, 0.0), centre[rows, None] + ahead)
+    # a side fails where it has not fallen, or reached its cap before it did
+    failed = (~fall | ((d == cap) & before).any(axis=2)).any(axis=0)
+    out[rows[failed]], fell[rows[failed]] = math.nan, False
+    reach = d[[[0], [1]], np.arange(rows.size), last].sum(axis=0)  # both last ends
+    keep = ~failed & ~(top[rows] + np.log(reach) < floor)
+    rows, reach, last = rows[keep], reach[keep], last[:, keep]
+    ahead = ahead[:, keep, : last.max(initial=0) + 1]  # out to the furthest last step
+    # from 0, each step's midpoint and end, out to the last step's end
+    points = np.zeros(ahead.shape[:2] + (2 * ahead.shape[2] + 1,))
+    points[..., 2::2] = ahead
+    points[..., 1::2] = 0.5 * (points[..., :-1:2] + ahead)
+    used = np.arange(2 * ahead.shape[2]) < 2 * last[..., None] + 2
+    inner, outer = points[..., :-1][used], points[..., 1:][used]
+    row = used.nonzero()[1]
+
+    def integrand(row, d):
+        values = drop(rows[row, None], d)
+        if not values.max(initial=-math.inf) < math.inf:
+            _raise_unless_finite(values, centre[rows[row, None]] + d)
+        return np.exp(values, out=values)
+
+    lo, hi = np.minimum(inner, outer), np.maximum(inner, outer)
+    out[rows] = top[rows] + np.log(_panel_quadrature(integrand, lo, hi, row, reach, tol))
+    return out, fell
+
+
+def _raise_unless_finite(values, u):
+    """NumericOverflowError at the first point u where values is nan or +inf."""
+    bad = ~(values < math.inf)
+    if np.count_nonzero(bad):
+        raise NumericOverflowError(f"integrand not representable at u={u[bad][0].item()!r}")
 
 
 # Gauss-Kronrod 7-15 rule on [-1, 1] (QUADPACK's qk15; Piessens et al. 1983):
@@ -447,13 +467,15 @@ def _panel_quadrature(f, lo, hi, row, span, tol: Tolerance) -> np.ndarray:
 
     def rule(lo, hi, row):
         parts = []
-        for k in range(0, max(lo.size, 1), _PANEL_CHUNK):
+        for k in range(0, lo.size, _PANEL_CHUNK):
             piece = slice(k, k + _PANEL_CHUNK)
             parts.append(_gauss_kronrod(lambda d: f(row[piece], d), lo[piece], hi[piece]))
         return [np.concatenate(part) for part in zip(*parts)]
 
     rows = span.size
     result = np.full(rows, math.nan)
+    if not rows:
+        return result
     open_rows = np.ones(rows, dtype=bool)
     count = np.bincount(row, minlength=rows)
     values, errors = rule(lo, hi, row)
@@ -493,7 +515,7 @@ def _panel_quadrature(f, lo, hi, row, span, tol: Tolerance) -> np.ndarray:
         errors = np.concatenate((errors[keep], new_errors))
 
 
-_U_LO, _U_HI = _LOG_TINY, math.log(sys.float_info.max)  # e^u a normal double
+_U_LO, _U_HI = math.log(sys.float_info.min), math.log(sys.float_info.max)  # e^u normal
 _PROBES = [0.0] + [sign * 2.0**k for k in range(10) for sign in (1.0, -1.0)]
 _PROBE_LEVELS = 10  # halvings of the probes' spacing where none is finite
 
@@ -511,19 +533,17 @@ def _probe_levels():
 def _log_concave_integral(g: Callable[[np.ndarray], np.ndarray], tol: Tolerance) -> float:
     """ln Int exp(g(u)) du over the whole line, to tol, for a concave g that
     may be -inf, evaluated on arrays of u under np.errstate(all="ignore"): a
-    nan (or +inf) at a point that the steps below use raises
-    NumericOverflowError, and one beyond them does not.  One call takes
-    u = 0, 1, -1, ..., -512 (where g is finite at none, the next takes the
-    midpoints of those probes, and so on, up to 10 times); at the first probe
-    b where g is finite this takes a < b < c one apart (one call), climbs in
-    doubling steps (halving them at the doubles' end), one call a step, while
-    g(a) or g(c) is above g(b), then halves the larger side until g(a), g(c)
-    are within 4 of g(b).  From b it walks out each way in doubling steps
-    from c - b and b - a, one panel a step, both walks in one call, until g
-    has fallen 60 below g(b); by concavity the mass beyond is under 2 e^-60
-    of the whole.  Each round of panels is one call.  Where the walk reaches
-    the end of the normal doubles in e^u, or the bracket adjacent doubles, or
-    the panels their budget, NonConvergenceError.
+    nan or +inf at a probe, climb point, panel node or walk point up to the
+    fall raises NumericOverflowError, and one beyond the fall does not.  One
+    call takes u = 0, 1, -1, ..., -512 (where g is finite at none, the next
+    takes the midpoints of those probes, and so on, up to 10 times); at the
+    first probe b where g is finite this takes a < b < c one apart (one
+    call), climbs in doubling steps (halving them at the doubles' end), one
+    call a step, while g(a) or g(c) is above g(b), then halves the larger
+    side until g(a), g(c) are within 4 of g(b).  _walk_integral walks from b
+    (one call) until e^u leaves the normal doubles, and sums the panels (one
+    call a round).  NonConvergenceError where the walk does not fall, the
+    bracket reaches adjacent doubles, or the panels their budget.
     """
 
     def at(points):
@@ -565,41 +585,17 @@ def _log_concave_integral(g: Callable[[np.ndarray], np.ndarray], tol: Tolerance)
         points = sorted(bracket + [(x, used(x, at([x])[0].item()))])
         best = max(range(4), key=lambda k: points[k][1])
         bracket = points[min(max(best - 1, 0), 1) :][:3]
-    walks = []
-    for step in (c - b, a - b):
-        walks.append([])
-        while not walks[-1] or walks[-1][-1] not in (_U_LO, _U_HI):
-            walks[-1].append(min(max(b + step, _U_LO), _U_HI))
-            step *= 2.0
-    values = at(walks[0] + walks[1]).tolist()
-    edges = [b]
-    for walk, side in zip(walks, (values[: len(walks[0])], values[len(walks[0]) :])):
-        for u, value in zip(walk, side):
-            edges.append(u)
-            if used(u, value) <= gb - _PEAK_DROP:
-                break
-        else:
-            raise NonConvergenceError("integrand does not fall by the doubles' end")
-    edges.sort()
-
-    def integrand(row, u):
-        values = at(u)
-        bad = ~(values < math.inf)
-        if np.count_nonzero(bad):
-            first = u[bad][0].item()
-            raise NumericOverflowError(f"integrand not representable at u={first!r}")
-        return np.exp(values - gb)
-
-    (integral,) = _panel_quadrature(
-        integrand,
-        np.array(edges[:-1]),
-        np.array(edges[1:]),
-        np.zeros(len(edges) - 1, dtype=int),
-        np.array([edges[-1] - edges[0]]),
-        tol,
+    # first steps twice the bracket's sides: each side's first panel is the
+    # bracket's, and of the multiples 1 to 8 this lays the fewest nodes
+    first = 2.0 * np.array([[c - b], [b - a]])
+    (value,), (fell,) = _walk_integral(
+        lambda _, d: at(b + d) - gb, np.array([b]), np.array([gb]),
+        first, np.array([[_U_HI - b], [b - _U_LO]]), -math.inf, tol,
     )
-    if math.isnan(integral):
+    if not fell:
+        raise NonConvergenceError("integrand does not fall by the doubles' end")
+    if math.isnan(value):
         raise NonConvergenceError(
             f"quadrature error above its budget after {tol.max_subdivisions} panels"
         )
-    return gb + math.log(integral)
+    return value

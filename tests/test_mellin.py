@@ -141,6 +141,23 @@ class TestPhi:
         numeric = cs.phi_numeric(cs.Fisher(L=2.0, M=3.0, mu=1.0), 2.0, QUAD_TOL)
         assert numeric == pytest.approx(1.5, rel=1e-7)
 
+    def test_small_panel_budgets(self):
+        # the panel budget bounds the panels only, not the walk: Gamma(0.5)'s
+        # g falls 60 only about 8 doublings out on its left, and 20 panels
+        # meet the default rel_tol there
+        model = cs.Gamma(L=0.5, mu=3.0)
+        assert cs.phi_numeric(model, 1.0, Tolerance(max_subdivisions=20)) == pytest.approx(
+            1.0, rel=1e-12
+        )
+        # 3 panels: the first round of the narrow Gamma(50) meets the budget,
+        # and Gamma(0.5)'s does not, which is a typed error
+        narrow = cs.Gamma(L=50.0, mu=1.0)
+        assert cs.phi_numeric(narrow, 1.0, Tolerance(max_subdivisions=3)) == pytest.approx(
+            1.0, rel=1e-12
+        )
+        with pytest.raises(cs.NonConvergenceError, match="after 3 panels"):
+            cs.phi_numeric(model, 1.0, Tolerance(max_subdivisions=3))
+
     def test_strip_violation(self):
         with pytest.raises(cs.StripError):
             cs.phi(cs.Gamma(L=0.5, mu=1.0), 0.3)
@@ -649,6 +666,26 @@ class TestBeyondTheDoubles:
         assert cs.classical_moment(model, 1) == pytest.approx(m1, rel=1e-13)
         with pytest.raises(cs.NumericOverflowError):  # m2 = 3e400
             cs.classical_moment(model, 2)
+
+    def test_moment_near_the_largest_double(self):
+        # m_171 = mu^171 171! of Gamma(1, mu) is 1.0000000000000027e308,
+        # above e^709 = 8.2e307 and a double; taken through its log, whose
+        # ulp (1.1e-13) bounds the result's precision.  A scale 0.5% larger
+        # puts it past the largest double
+        mu = (1e308 / math.gamma(171) / 171) ** (1 / 171)
+        model = cs.Gamma(L=1.0, mu=mu)
+        with mpmath.workdps(30):
+            expected = float(mpmath.mpf(mu) ** 171 * mpmath.factorial(171))
+        assert expected == pytest.approx(1.0000000000000027e308, rel=1e-16)
+        assert cs.classical_moment(model, 171) == pytest.approx(expected, rel=2e-13)
+        assert cs.phi(model, 172.0) == pytest.approx(expected, rel=2e-13)
+        assert cs.phi_numeric(model, 172.0) == pytest.approx(expected, rel=1e-9)
+        past = cs.Gamma(L=1.0, mu=1.005 * mu)  # m_171 = 2.3e308
+        for function, arg in ((cs.classical_moment, 171), (cs.phi, 172.0)):
+            with pytest.raises(cs.NumericOverflowError):
+                function(past, arg)
+        with pytest.raises(cs.NumericOverflowError):
+            cs.phi_numeric(past, 172.0)
 
     def test_closed_form_of_a_huge_shape(self):
         # its k_2 = psi'(1e300) is a double, and k_3..k_6 round to 0

@@ -131,6 +131,17 @@ class TestExtremeScales:
         assert repr(model) in str(info.value)
         assert repr(x) in str(info.value)
 
+    def test_density_near_the_largest_double(self):
+        # f(x) = e^(-x / mu) / mu is 1.0e308 here, above e^709 = 8.2e307 and
+        # a double; at mu = 5e-309 it is 2e308, past the largest double
+        model, x = cs.Exponential(mu=1e-308), 1e-320
+        with mpmath.workdps(30):
+            mu = mpmath.mpf(model.mu)
+            expected = float(mpmath.exp(-mpmath.mpf(x) / mu) / mu)
+        assert cs.pdf(model, x) == pytest.approx(expected, rel=2e-13)
+        with pytest.raises(cs.NumericOverflowError):
+            cs.pdf(cs.Exponential(mu=5e-309), x)
+
     def test_weibull_ratio_below_the_doubles(self):
         # x / z and b / z are taken as logs, so a subnormal x / z is no error
         assert cs.pdf(cs.Weibull(b=1.0, z=2.0), 5e-324) == pytest.approx(0.5, rel=1e-15)

@@ -138,6 +138,15 @@ class TestUnrepresentableDraws:
         with pytest.raises(cs.NumericOverflowError):
             cs.sample(cs.Maxwell(sigma=1.5e308), 10, cs.RngState(1))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_zero_times_inf_draw_is_typed(self, seed):
+        # a speckle draw of 0 meets a texture draw of inf: their product is
+        # nan, reported as the typed error (warnings are errors in this
+        # suite, so an invalid-value warning would fail the test too)
+        model = cs.WeibullNakagami(c=1.44e-4, alpha=3.41e-5, b=224.3, sigma=4.02e-3)
+        with pytest.raises(cs.NumericOverflowError):
+            cs.sample(model, 1000, cs.RngState(seed))
+
     def test_small_gamma_shape_succeeds(self):
         samples = cs.sample(cs.Gamma(L=0.05, mu=1.0), 200_000, cs.RngState(1))
         assert samples.count == 200_000
@@ -219,6 +228,12 @@ class TestFig1Config:
             cs.Fig1Config(L=-1.0)
         with pytest.raises(cs.ParameterError):
             cs.Fig1Config(samples_per_point=0)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, True])
+    def test_samples_per_point_must_be_an_integer(self, n):
+        # rejected when built, not at the sweep's first grid point
+        with pytest.raises(cs.ParameterError, match="samples_per_point"):
+            cs.Fig1Config(samples_per_point=n)
 
 
 SMALL_CONFIG = cs.Fig1Config(

@@ -14,6 +14,7 @@ from clutterstats.models import _log_density
 from clutterstats.specfun import (
     Tolerance,
     _log_concave_integral,
+    _log_peak_integral,
     digamma,
     log_gamma,
     polygamma,
@@ -180,12 +181,42 @@ class TestLogConcaveIntegral:
         with pytest.raises(cs.NumericOverflowError, match="not representable at u=-?[0-9]"):
             _log_concave_integral(g, TIGHT)
 
+    def test_walk_points_checked_up_to_the_fall(self):
+        # -u^2 has its bracket at -1, 0, 1 and walks to 2, 4, 8, where it
+        # has fallen 64; nan at 4 raises, and nan at 16, beyond, is not used
+        with pytest.raises(cs.NumericOverflowError, match="not representable at u=4.0"):
+            _log_concave_integral(lambda u: np.where(u == 4.0, math.nan, -u * u), TIGHT)
+        result = _log_concave_integral(lambda u: np.where(u == 16.0, math.nan, -u * u), TIGHT)
+        assert result == pytest.approx(0.5 * math.log(math.pi), abs=1e-12)
+        # -|u|/20 falls 60 only at 1200, past the end of the doubles: its
+        # walk points all count, so nan at 4 raises before "does not fall"
+        with pytest.raises(cs.NumericOverflowError, match="not representable at u=4.0"):
+            _log_concave_integral(
+                lambda u: np.where(u == 4.0, math.nan, -0.05 * np.abs(u)), TIGHT
+            )
+
     def test_panels_over_budget(self):
         # a budget no Gauss-Kronrod error estimate of a Gaussian meets
         with pytest.raises(cs.NonConvergenceError, match="after 20 panels"):
             _log_concave_integral(
                 lambda u: -u * u, Tolerance(rel_tol=1e-300, max_subdivisions=20)
             )
+
+
+@pytest.mark.parametrize("b, a", [(0.4, -0.2), (-0.2, 0.4)])
+@pytest.mark.parametrize("q", [0.5, 2.0, 30.0])
+@pytest.mark.parametrize("p", [0.5, 2.0, 30.0])
+@pytest.mark.parametrize("A", [1.3, 0.0, -1.7])
+def test_both_peak_searches_agree(A, q, b, p, a):
+    # the probe-and-climb search and the analytic one lead to the same walk
+    # and panels; at b > a and q = p = 30 the terms are 8e3 at the peak and
+    # g rounds to about 1e-12 there, so the bound is relative to |result|
+    def g(u):
+        return A * u - np.exp(q * (b - u)) - np.exp(p * (u - a))
+
+    generic = _log_concave_integral(g, TIGHT)
+    peak = _log_peak_integral(A, q, b, p, a, TIGHT, 0.0, -math.inf).item()
+    assert abs(generic - peak) <= 1e-13 * max(1.0, abs(peak))
 
 
 def test_import_leaves_out_scipy_integrate():
